@@ -35,6 +35,35 @@ fn single_key_roundtrip_every_algorithm_and_shard_count() {
 }
 
 #[test]
+fn transactions_holding_every_shard_open_stay_atomic_all_algorithms() {
+    // Sixteen shards: one open shard transaction each, all on this
+    // thread, which is more than the engine keeps pooled per thread.
+    for &algo in ALGOS {
+        let kv: ShardedKv<u64, u64> = ShardedKv::new(16, algo);
+        let mut keys = vec![None; kv.shard_count()];
+        for k in 0u64.. {
+            keys[kv.shard_of(&k)].get_or_insert(k);
+            if keys.iter().all(Option::is_some) {
+                break;
+            }
+        }
+        let keys: Vec<u64> = keys.into_iter().flatten().collect();
+        for round in 1..=4u64 {
+            kv.transact(|tx| {
+                for k in &keys {
+                    let v = tx.get(k)?.unwrap_or(0);
+                    tx.put(*k, v + 1)?;
+                }
+                Ok(())
+            });
+            let snap = kv.scan();
+            assert_eq!(snap.len(), keys.len(), "{algo:?}");
+            assert!(snap.iter().all(|&(_, v)| v == round), "{algo:?}: {snap:?}");
+        }
+    }
+}
+
+#[test]
 fn scan_sees_every_entry_once() {
     let kv = ShardedKv::with_config(ServiceConfig {
         shards: 4,

@@ -9,7 +9,7 @@
 
 use crate::engine::{Retry, Stm, Transaction};
 use crate::orec;
-use crate::tvar::{TVar, TxValue};
+use crate::tvar::{TVar, TxValue, VersionRef};
 use std::sync::atomic::Ordering;
 
 pub(crate) use super::versioned::commit;
@@ -21,14 +21,17 @@ pub(crate) fn begin(_stm: &Stm) -> u64 {
 
 /// Invisible read followed by full read-set re-validation — every prior
 /// read, every time (the Θ(m²) signature of Theorem 3(1)).
-pub(crate) fn read<T: TxValue>(tx: &mut Transaction<'_>, var: &TVar<T>) -> Result<T, Retry> {
+pub(crate) fn read<'v, T: TxValue>(
+    tx: &mut Transaction<'_>,
+    var: &'v TVar<T>,
+) -> Result<VersionRef<'v, T>, Retry> {
     let stripe = tx.stm.orecs.stripe_of(var.id());
     let word = tx.stm.orecs.word(stripe);
     let m1 = word.load(Ordering::Acquire);
     if orec::is_locked(m1) {
         return Err(Retry);
     }
-    let v = var.inner.read_snapshot(&tx.pin);
+    let v = var.inner.latest(&tx.pin);
     if word.load(Ordering::Acquire) != m1 {
         return Err(Retry);
     }

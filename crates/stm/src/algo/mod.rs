@@ -10,7 +10,7 @@
 //! | hook | contract |
 //! |------|----------|
 //! | `begin(tx)` | sample the snapshot time (clock, sequence lock, or nothing) at the transaction's first operation — and, for the adaptive controller, pin the attempt's mode |
-//! | `read(tx, var) -> Result<T, Retry>` | produce a value consistent with every earlier read of the attempt, recording whatever the commit hook needs (versioned read, value snapshot, or a held read lock) |
+//! | `read(tx, var) -> Result<VersionRef<T>, Retry>` | find the version consistent with every earlier read of the attempt — without copying it — recording whatever the commit hook needs (versioned read, value snapshot, or a held read lock) |
 //! | `commit(tx) -> bool` | atomically publish the buffered write set or fail without trace; only called when the write set is non-empty |
 //!
 //! Read-only commits are generic: an attempt whose last read validated
@@ -40,7 +40,7 @@ pub(crate) mod tlrw;
 pub(crate) mod versioned;
 
 use crate::engine::{Algorithm, Retry, Transaction};
-use crate::tvar::{TVar, TxValue};
+use crate::tvar::{TVar, TxValue, VersionRef};
 
 /// Runs a locking commit body with the write set's stripes collected,
 /// sorted, and deduplicated (several variables may share a stripe), and
@@ -79,10 +79,14 @@ pub(crate) fn begin(tx: &mut Transaction<'_>) {
 }
 
 /// Read hook: the algorithm-specific consistent-read path (the engine
-/// has already consulted the write set). Dispatches on the
-/// *transaction's* resolved mode, so an adaptive attempt costs exactly
-/// one match here — the same as a static instance.
-pub(crate) fn read<T: TxValue>(tx: &mut Transaction<'_>, var: &TVar<T>) -> Result<T, Retry> {
+/// has already consulted the write set). Returns the version the read
+/// resolved to, uncopied; the engine lends it out by reference.
+/// Dispatches on the *transaction's* resolved mode, so an adaptive
+/// attempt costs exactly one match here — the same as a static instance.
+pub(crate) fn read<'v, T: TxValue>(
+    tx: &mut Transaction<'_>,
+    var: &'v TVar<T>,
+) -> Result<VersionRef<'v, T>, Retry> {
     match tx.mode {
         Algorithm::Tl2 => tl2::read(tx, var),
         Algorithm::Incremental => incremental::read(tx, var),

@@ -76,7 +76,7 @@ use super::versioned;
 use crate::engine::{Retry, Transaction};
 use crate::epoch;
 use crate::orec::{self, stamped};
-use crate::tvar::{Evicted, TVar, TxValue};
+use crate::tvar::{Evicted, TVar, TxValue, VersionRef};
 use crate::txlog::VersionedRead;
 use std::sync::atomic::Ordering;
 
@@ -101,17 +101,20 @@ pub(crate) fn begin(tx: &mut Transaction<'_>) -> u64 {
 /// oldest-snapshot rule: under a [`max_versions`](crate::MvConfig)
 /// bound, a snapshot whose version was evicted retries with a fresh
 /// (hence retained) snapshot.
-pub(crate) fn read<T: TxValue>(tx: &mut Transaction<'_>, var: &TVar<T>) -> Result<T, Retry> {
+pub(crate) fn read<'v, T: TxValue>(
+    tx: &mut Transaction<'_>,
+    var: &'v TVar<T>,
+) -> Result<VersionRef<'v, T>, Retry> {
     let stripe = tx.stm.orecs.stripe_of(var.id());
     tx.log.reads.push(VersionedRead {
         stripe,
         meta: tx.rv,
     });
     tx.tally.snapshot_read();
-    match var.inner.read_at_counted(&tx.pin, tx.rv) {
-        Ok((value, steps)) => {
+    match var.inner.at(&tx.pin, tx.rv) {
+        Ok((version, steps)) => {
             tx.tally.chain_walk(steps);
-            Ok(value)
+            Ok(version)
         }
         Err(Evicted) => {
             tx.stm.stats.eviction_abort();

@@ -7,7 +7,7 @@
 
 use crate::engine::{Retry, Stm, Transaction};
 use crate::epoch;
-use crate::tvar::{TVar, TxValue};
+use crate::tvar::{TVar, TxValue, VersionRef};
 use crate::txlog::ValueRead;
 use std::sync::atomic::Ordering;
 
@@ -24,14 +24,19 @@ pub(crate) fn begin(stm: &Stm) -> u64 {
 
 /// Value-snapshot read: consistent as long as the sequence clock has not
 /// moved; otherwise revalidate everything by value and retry the read.
-pub(crate) fn read<T: TxValue>(tx: &mut Transaction<'_>, var: &TVar<T>) -> Result<T, Retry> {
+/// The one clone is the snapshot value validation compares against;
+/// the caller borrows the version node itself.
+pub(crate) fn read<'v, T: TxValue>(
+    tx: &mut Transaction<'_>,
+    var: &'v TVar<T>,
+) -> Result<VersionRef<'v, T>, Retry> {
     loop {
-        let v = var.inner.read_snapshot(&tx.pin);
+        let v = var.inner.latest(&tx.pin);
         let t = tx.stm.clock.load(Ordering::Acquire);
         if t == tx.rv {
             tx.log.value_reads.push(ValueRead {
                 var: var.as_dyn(),
-                snapshot: Box::new(v.clone()),
+                snapshot: Box::new(v.get(&tx.pin).clone()),
             });
             return Ok(v);
         }

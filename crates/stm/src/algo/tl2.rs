@@ -9,7 +9,7 @@
 
 use crate::engine::{Retry, Stm, Transaction};
 use crate::orec;
-use crate::tvar::{TVar, TxValue};
+use crate::tvar::{TVar, TxValue, VersionRef};
 use std::sync::atomic::Ordering;
 
 pub(crate) use super::versioned::commit;
@@ -20,15 +20,19 @@ pub(crate) fn begin(stm: &Stm) -> u64 {
 }
 
 /// Optimistic invisible read: any stripe version newer than the
-/// snapshot (or a held lock) means a concurrent commit and aborts.
-pub(crate) fn read<T: TxValue>(tx: &mut Transaction<'_>, var: &TVar<T>) -> Result<T, Retry> {
+/// snapshot (or a held lock) means a concurrent commit and aborts. The
+/// version loaded between the two word checks is the one returned.
+pub(crate) fn read<'v, T: TxValue>(
+    tx: &mut Transaction<'_>,
+    var: &'v TVar<T>,
+) -> Result<VersionRef<'v, T>, Retry> {
     let stripe = tx.stm.orecs.stripe_of(var.id());
     let word = tx.stm.orecs.word(stripe);
     let m1 = word.load(Ordering::Acquire);
     if orec::is_locked(m1) || orec::version_of(m1) > tx.rv {
         return Err(Retry);
     }
-    let v = var.inner.read_snapshot(&tx.pin);
+    let v = var.inner.latest(&tx.pin);
     if word.load(Ordering::Acquire) != m1 {
         return Err(Retry);
     }

@@ -39,7 +39,7 @@
 use crate::engine::{Retry, Stm, Transaction};
 use crate::epoch;
 use crate::orec::{rw_write_locked, RW_READER, RW_WRITER};
-use crate::tvar::{TVar, TxValue};
+use crate::tvar::{TVar, TxValue, VersionRef};
 use std::sync::atomic::Ordering;
 
 /// No snapshot clock: consistency comes from the held read locks.
@@ -49,7 +49,10 @@ pub(crate) fn begin(_stm: &Stm) -> u64 {
 
 /// Visible read: announce a reader on the stripe (one `fetch_add`), then
 /// load the value under the held lock. O(1), no validation.
-pub(crate) fn read<T: TxValue>(tx: &mut Transaction<'_>, var: &TVar<T>) -> Result<T, Retry> {
+pub(crate) fn read<'v, T: TxValue>(
+    tx: &mut Transaction<'_>,
+    var: &'v TVar<T>,
+) -> Result<VersionRef<'v, T>, Retry> {
     let stripe = tx.stm.orecs.stripe_of(var.id());
     if !tx.log.rw_contains(stripe) {
         let word = tx.stm.orecs.word(stripe);
@@ -64,7 +67,7 @@ pub(crate) fn read<T: TxValue>(tx: &mut Transaction<'_>, var: &TVar<T>) -> Resul
     }
     // The held read lock excludes writers until this transaction
     // resolves, so the loaded value cannot be concurrently replaced.
-    Ok(var.inner.read_snapshot(&tx.pin))
+    Ok(var.inner.latest(&tx.pin))
 }
 
 /// Commit hook: upgrade/acquire write locks stripe by stripe, publish,

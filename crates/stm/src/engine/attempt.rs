@@ -7,7 +7,6 @@ use super::{RetriesExhausted, Retry, Stm, Transaction};
 use crate::algo::adaptive;
 use crate::cm::Decision;
 use crate::tvar::{TVar, TxValue};
-use crate::txlog::TxLog;
 use crate::waiter::{WaitCell, CONFLICT_PARK_TIMEOUT, RETRY_PARK_TIMEOUT};
 
 impl Stm {
@@ -37,10 +36,12 @@ impl Stm {
         &self,
         mut body: impl FnMut(&mut Transaction<'_>) -> Result<A, Retry>,
     ) -> Result<A, RetriesExhausted> {
-        let mut log = TxLog::default();
         let mut attempt: u64 = 0;
         loop {
-            let mut tx = Transaction::begin(self, log);
+            // Each attempt draws its log from the thread's pool and its
+            // drop returns it, so retries and back-to-back transactions
+            // reuse the same vectors.
+            let mut tx = Transaction::begin(self);
             let committed = match body(&mut tx) {
                 Ok(out) if tx.commit() => Some(out),
                 _ => None,
@@ -61,7 +62,7 @@ impl Stm {
                 // the contention manager and the attempt budget, park on
                 // the read footprint, and re-run when a writer overlaps
                 // it.
-                log = self.park_attempt(tx, false);
+                self.park_attempt(tx, false);
                 continue;
             }
             attempt += 1;
@@ -73,16 +74,15 @@ impl Stm {
             // are trying to write.
             tx.release_read_locks();
             match self.cm.on_abort(attempt - 1) {
-                Decision::Retry => log = tx.into_log(),
-                Decision::Park => log = self.park_attempt(tx, true),
+                Decision::Retry => drop(tx),
+                Decision::Park => self.park_attempt(tx, true),
                 Decision::GiveUp => return Err(RetriesExhausted { attempts: attempt }),
             }
         }
     }
 
     /// Parks an aborted attempt on its footprint's waiter lists until an
-    /// overlapping commit (or a safety-net timeout) wakes it; returns
-    /// the recycled log for the next attempt.
+    /// overlapping commit (or a safety-net timeout) wakes it.
     ///
     /// Ordering is the whole point — register, *then* revalidate, *then*
     /// sleep: a writer that commits after registration finds the cell on
@@ -90,18 +90,18 @@ impl Stm {
     /// registration shows up in the revalidation, which then skips the
     /// sleep. (The SeqCst fences pairing register's tail with
     /// `wake_stripes`' head close the remaining store-buffering window —
-    /// see the proof in `crate::waiter`.) The transaction is dropped via
-    /// `into_log` *before* sleeping so a parked thread pins no epoch,
+    /// see the proof in `crate::waiter`.) The transaction is dropped
+    /// *before* sleeping so a parked thread pins no epoch,
     /// holds no Tlrw read locks (released *after* registration — the
     /// lock word itself orders any conflicting commit after our
     /// registration), blocks no adaptive mode switch, and anchors no Mv
     /// snapshot.
-    fn park_attempt(&self, tx: Transaction<'_>, conflict: bool) -> TxLog {
+    fn park_attempt(&self, tx: Transaction<'_>, conflict: bool) {
         let stripes = tx.wait_stripes(conflict);
         let cell = WaitCell::for_thread();
         self.orecs.waiters().register(&stripes, &cell);
         let consistent = tx.revalidate_for_park();
-        let log = tx.into_log();
+        drop(tx);
         if consistent {
             self.stats.park();
             let timeout = if conflict {
@@ -117,7 +117,6 @@ impl Stm {
             }
         }
         self.orecs.waiters().deregister(&stripes, &cell);
-        log
     }
 
     /// Runs `body` once, committing if it succeeds; returns `None` on
@@ -126,7 +125,7 @@ impl Stm {
         &self,
         body: impl FnOnce(&mut Transaction<'_>) -> Result<A, Retry>,
     ) -> Option<A> {
-        let mut tx = Transaction::begin(self, TxLog::default());
+        let mut tx = Transaction::begin(self);
         let committed = match body(&mut tx) {
             Ok(out) if tx.commit() => Some(out),
             _ => {

@@ -43,7 +43,6 @@
 use super::{RetriesExhausted, Retry, Stm, Transaction};
 use crate::algo::adaptive;
 use crate::cm::Decision;
-use crate::txlog::TxLog;
 use crate::waiter::{self, WaitCell, CONFLICT_PARK_TIMEOUT};
 use std::fmt;
 use std::future::Future;
@@ -102,7 +101,6 @@ impl Stm {
         RunAsync {
             stm: self,
             body,
-            log: None,
             attempts: 0,
             registration: None,
             _out: PhantomData,
@@ -120,8 +118,6 @@ impl Stm {
 pub struct RunAsync<'s, A, F> {
     stm: &'s Stm,
     body: F,
-    /// Recycled attempt log, `Some` between attempts.
-    log: Option<TxLog>,
     attempts: u64,
     /// A standing waiter-list registration from the last poll, voided
     /// (deregistered) at the top of the next poll and on drop.
@@ -175,8 +171,7 @@ where
         this.deregister();
         let mut this_poll: u32 = 0;
         loop {
-            let log = this.log.take().unwrap_or_default();
-            let mut tx = Transaction::begin(this.stm, log);
+            let mut tx = Transaction::begin(this.stm);
             let committed = match (this.body)(&mut tx) {
                 Ok(out) if tx.commit() => Some(out),
                 _ => None,
@@ -199,7 +194,7 @@ where
                 let cell = WaitCell::for_waker(cx.waker().clone());
                 this.stm.orecs.waiters().register(&stripes, &cell);
                 let consistent = tx.revalidate_for_park();
-                this.log = Some(tx.into_log());
+                drop(tx);
                 if !consistent {
                     this.stm.orecs.waiters().deregister(&stripes, &cell);
                     if this_poll >= MAX_ATTEMPTS_PER_POLL {
@@ -223,7 +218,7 @@ where
             // docs) — the per-poll attempt budget stands in for them.
             match this.stm.cm.decide(this.attempts - 1) {
                 Decision::Retry => {
-                    this.log = Some(tx.into_log());
+                    drop(tx);
                     if this_poll >= MAX_ATTEMPTS_PER_POLL {
                         return this.yield_now(cx);
                     }
@@ -237,7 +232,7 @@ where
                     let cell = WaitCell::for_waker(cx.waker().clone());
                     this.stm.orecs.waiters().register(&stripes, &cell);
                     let consistent = tx.revalidate_for_park();
-                    this.log = Some(tx.into_log());
+                    drop(tx);
                     if !consistent {
                         this.stm.orecs.waiters().deregister(&stripes, &cell);
                         if this_poll >= MAX_ATTEMPTS_PER_POLL {

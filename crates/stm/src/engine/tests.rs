@@ -902,3 +902,200 @@ fn twophase_prepared_token_cannot_cross_instances() {
     // panic ends the test.)
     tx_b.commit_prepared(prepared);
 }
+
+/// A value whose `Clone` counts its calls, to pin down how many copies
+/// each read path makes.
+#[derive(Debug)]
+struct Counted {
+    v: u64,
+    clones: Arc<std::sync::atomic::AtomicUsize>,
+}
+
+impl Counted {
+    fn new(v: u64, clones: &Arc<std::sync::atomic::AtomicUsize>) -> Self {
+        Counted {
+            v,
+            clones: Arc::clone(clones),
+        }
+    }
+}
+
+impl Clone for Counted {
+    fn clone(&self) -> Self {
+        self.clones.fetch_add(1, Ordering::SeqCst);
+        Counted::new(self.v, &self.clones)
+    }
+}
+
+impl PartialEq for Counted {
+    fn eq(&self, other: &Self) -> bool {
+        self.v == other.v
+    }
+}
+
+/// Every algorithm, plain and with a history recorder attached (the
+/// recorder projects each read's value, which must not copy it either).
+fn engines_with_and_without_recorder() -> Vec<Stm> {
+    let mut all = engines();
+    for stm in engines() {
+        all.push(
+            Stm::builder(stm.algorithm())
+                .record_history(crate::HistoryRecorder::new())
+                .build(),
+        );
+    }
+    all
+}
+
+#[test]
+fn read_ref_copies_nothing_except_norec_s_validation_snapshot() {
+    for stm in engines_with_and_without_recorder() {
+        let algo = stm.algorithm();
+        let clones = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let v = TVar::new(Counted::new(7, &clones));
+        // NOrec validates by value, so it keeps one copy per read.
+        let snapshot_copies = usize::from(algo == Algorithm::Norec);
+
+        let got = stm.atomically(|tx| Ok(tx.read_ref(&v)?.v));
+        assert_eq!(got, 7);
+        assert_eq!(
+            clones.swap(0, Ordering::SeqCst),
+            snapshot_copies,
+            "{algo:?}: read_ref"
+        );
+
+        let owned = stm.atomically(|tx| tx.read(&v));
+        assert_eq!(owned.v, 7);
+        assert_eq!(
+            clones.swap(0, Ordering::SeqCst),
+            snapshot_copies + 1,
+            "{algo:?}: read is read_ref plus one clone"
+        );
+    }
+}
+
+#[test]
+fn read_ref_sees_the_buffered_write_without_copying_it() {
+    for stm in engines_with_and_without_recorder() {
+        let algo = stm.algorithm();
+        let clones = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let v = TVar::new(Counted::new(1, &clones));
+        stm.atomically(|tx| {
+            tx.write(&v, Counted::new(9, &clones))?;
+            clones.store(0, Ordering::SeqCst);
+            let seen = tx.read_ref(&v)?.v;
+            assert_eq!(seen, 9, "{algo:?}: own write");
+            assert_eq!(
+                clones.load(Ordering::SeqCst),
+                0,
+                "{algo:?}: own write copied"
+            );
+            Ok(())
+        });
+        assert_eq!(v.load().v, 9, "{algo:?}");
+    }
+}
+
+/// The recorder-window regression: Mv draws its snapshot inside
+/// `ensure_started`, so a commit that lands right after the draw is
+/// invisible to the reader. The read's invocation marker must already
+/// be in the history by then; stamped after the draw, the rival commit
+/// would appear to finish before the reader began, and the history of a
+/// correct run would fail the opacity check.
+#[test]
+fn a_commit_right_after_the_snapshot_draw_is_concurrent_in_the_history() {
+    use ptm_model::{is_opaque, History};
+    use std::sync::mpsc;
+
+    let rec = crate::HistoryRecorder::new();
+    let stm = Stm::builder(Algorithm::Mv)
+        .record_history(rec.clone())
+        .build();
+    let x = TVar::new(0u64);
+    let (go, go_rx) = mpsc::channel::<()>();
+    let (done_tx, done) = mpsc::channel::<()>();
+    std::thread::scope(|s| {
+        let (stm, x) = (&stm, &x);
+        s.spawn(move || {
+            go_rx.recv().unwrap();
+            stm.atomically(|tx| tx.write(x, 1));
+            done_tx.send(()).unwrap();
+        });
+        // Run the rival commit to completion inside the window.
+        super::transaction::tests_hook::set_after_begin(move || {
+            go.send(()).unwrap();
+            done.recv().unwrap();
+        });
+        let seen = stm.atomically(|tx| tx.read(x));
+        assert_eq!(seen, 0, "the snapshot predates the rival commit");
+    });
+    assert_eq!(x.load(), 1);
+    let h = History::from_log(&rec.drain()).expect("well-formed history");
+    assert!(h.is_complete());
+    assert!(
+        is_opaque(&h),
+        "a commit inside the reader's first operation was recorded as preceding it"
+    );
+}
+
+#[test]
+fn one_open_transaction_per_shard_reuses_pooled_logs_within_the_bound() {
+    use crate::txlog::{TxLog, POOL_LOGS};
+    // A thread of its own, so the pool starts empty.
+    std::thread::spawn(|| {
+        // More shards than the pool holds, cycling through every
+        // algorithm so each part of the log (versioned reads, value
+        // reads, read locks, writes) is exercised.
+        let algos = [
+            Algorithm::Tl2,
+            Algorithm::Incremental,
+            Algorithm::Norec,
+            Algorithm::Tlrw,
+            Algorithm::Mv,
+            Algorithm::Adaptive,
+        ];
+        let shards: Vec<Stm> = (0..2 * POOL_LOGS)
+            .map(|i| Stm::builder(algos[i % algos.len()]).build())
+            .collect();
+        let vars: Vec<(TVar<u64>, TVar<u64>)> = shards
+            .iter()
+            .map(|_| (TVar::new(0), TVar::new(0)))
+            .collect();
+        for round in 1..=4u64 {
+            let mut txs: Vec<Transaction<'_>> = shards.iter().map(Stm::transaction).collect();
+            for (tx, (a, b)) in txs.iter_mut().zip(&vars) {
+                assert!(
+                    tx.log.reads.is_empty()
+                        && tx.log.value_reads.is_empty()
+                        && tx.log.rw_reads.is_empty()
+                        && tx.log.writes.is_empty(),
+                    "{:?}: a pooled log must start empty",
+                    tx.stm.algorithm()
+                );
+                let x = tx.read(a).unwrap();
+                let _ = tx.read(b).unwrap();
+                tx.write(a, x + 1).unwrap();
+            }
+            let prepared: Vec<_> = txs
+                .into_iter()
+                .map(|mut tx| {
+                    let p = tx.prepare_commit().expect("uncontended prepare");
+                    (tx, p)
+                })
+                .collect();
+            for (tx, p) in prepared {
+                tx.commit_prepared(p);
+            }
+            assert!(TxLog::pool_len() <= POOL_LOGS);
+            for (a, _) in &vars {
+                assert_eq!(a.load(), round);
+            }
+        }
+        assert_eq!(TxLog::pool_len(), POOL_LOGS);
+        for stm in &shards {
+            assert_orecs_quiescent(stm);
+        }
+    })
+    .join()
+    .unwrap();
+}

@@ -9,7 +9,7 @@ use crate::epoch;
 use crate::orec;
 use crate::recorder::{word_of, HistoryRecorder, RecTx};
 use crate::stats::OpTally;
-use crate::tvar::{TVar, TxValue};
+use crate::tvar::{TVar, TxValue, VersionRef};
 use crate::txlog::TxLog;
 use crate::wal::DurableTicket;
 use ptm_sim::{TOpDesc, TOpResult};
@@ -75,8 +75,18 @@ pub struct Transaction<'s> {
     /// [`Transaction::durable_watermark`].
     wm0: u64,
     /// Epoch pin: keeps every pointer this transaction may dereference
-    /// alive for its whole lifetime (also makes `Transaction: !Send`).
+    /// — and every value [`Transaction::read_ref`] lends out — alive for
+    /// its whole lifetime (also makes `Transaction: !Send`).
     pub(crate) pin: epoch::Guard,
+}
+
+/// Where a t-read found its value: the attempt's own buffered write, or
+/// a committed version the read hook resolved to. Holds no borrow of
+/// the transaction, so the engine can finish its bookkeeping before
+/// lending the value out (see [`Transaction::read_ref`]).
+enum Found<'v, T> {
+    OwnWrite,
+    Version(VersionRef<'v, T>),
 }
 
 impl Drop for Transaction<'_> {
@@ -91,11 +101,13 @@ impl Drop for Transaction<'_> {
     /// attempt's operation tallies into the shared counters — the attempt
     /// loop drops the transaction *before* sampling stats (commit bump,
     /// adaptive window check), so snapshots taken at those points include
-    /// this attempt's operations.
+    /// this attempt's operations, and returns the log, cleared, to the
+    /// thread's pool for the next transaction.
     fn drop(&mut self) {
         self.release_read_locks();
         adaptive::release_slot(self);
         self.stm.stats.flush(&self.tally);
+        std::mem::take(&mut self.log).recycle();
     }
 }
 
@@ -110,14 +122,15 @@ impl fmt::Debug for Transaction<'_> {
 }
 
 impl<'s> Transaction<'s> {
-    pub(super) fn begin(stm: &'s Stm, log: TxLog) -> Self {
+    /// Opens an attempt on `stm` with a log from the thread's pool.
+    pub(super) fn begin(stm: &'s Stm) -> Self {
         Transaction {
             stm,
             rv: 0,
             started: false,
             poisoned: false,
             waiting: false,
-            log,
+            log: TxLog::pooled(),
             mode: stm.algorithm,
             pinned: None,
             snap: None,
@@ -127,16 +140,6 @@ impl<'s> Transaction<'s> {
             wm0: 0,
             pin: epoch::pin(),
         }
-    }
-
-    /// Recovers the log for reuse by the next attempt (capacity is kept,
-    /// entries are cleared), releasing any read locks the aborted
-    /// attempt still holds.
-    pub(super) fn into_log(mut self) -> TxLog {
-        self.release_read_locks();
-        let mut log = std::mem::take(&mut self.log);
-        log.reset();
-        log
     }
 
     /// Undoes every visible-read lock this attempt still holds (no-op
@@ -167,6 +170,8 @@ impl<'s> Transaction<'s> {
         }
         algo::begin(self);
         self.started = true;
+        #[cfg(test)]
+        tests_hook::after_begin();
     }
 
     /// Records an invocation marker (no-op without a recorder).
@@ -196,7 +201,8 @@ impl<'s> Transaction<'s> {
         }
     }
 
-    /// Reads a variable.
+    /// Reads a variable, returning an owned copy: [`Transaction::read_ref`]
+    /// plus one clone.
     ///
     /// # Errors
     ///
@@ -204,36 +210,86 @@ impl<'s> Transaction<'s> {
     /// impossible, or if this attempt already returned [`Retry`] once;
     /// propagate it with `?`.
     pub fn read<T: TxValue>(&mut self, var: &TVar<T>) -> Result<T, Retry> {
+        self.read_ref(var).cloned()
+    }
+
+    /// Reads a variable by reference, copying nothing: the reference
+    /// points into the committed version this read resolved to (immutable
+    /// once published, and kept alive by the attempt's epoch pin) or, if
+    /// this attempt wrote the variable, into its buffered value. Prefer
+    /// it to [`Transaction::read`] for large values of which only a part
+    /// is needed — a bucket scanned for one key, a collection summed.
+    ///
+    /// The borrow ends before the next operation on this transaction;
+    /// clone what must outlive it.
+    ///
+    /// # Errors
+    ///
+    /// As for [`Transaction::read`].
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use ptm_stm::{Stm, TVar};
+    ///
+    /// let stm = Stm::tl2();
+    /// let big = TVar::new(vec![1u64; 1000]);
+    /// let total: u64 = stm.atomically(|tx| Ok(tx.read_ref(&big)?.iter().sum()));
+    /// assert_eq!(total, 1000);
+    /// ```
+    pub fn read_ref<'a, T: TxValue>(&'a mut self, var: &'a TVar<T>) -> Result<&'a T, Retry> {
         if self.poisoned {
             return Err(Retry);
         }
-        self.ensure_started();
-        self.tally.read();
+        // Stamp the invocation before `ensure_started` draws the
+        // snapshot (Mv, Tl2) or pins the mode (Adaptive): a commit that
+        // lands between the two must fall inside this operation's
+        // recorded interval. Stamped after, it would appear to precede
+        // the transaction in real time while being absent from its
+        // snapshot — a false opacity violation.
         let op = self.rec.as_ref().map(|r| TOpDesc::Read(r.object_of(var)));
         if let Some(op) = op {
             self.rec_invoke(op);
         }
-        let out = self.read_raw(var);
+        self.ensure_started();
+        self.tally.read();
+        let found = self.find(var);
         if let Some(op) = op {
-            match &out {
-                Ok(v) => self.rec_respond(op, TOpResult::Value(word_of(v))),
-                Err(Retry) => self.rec_respond(op, TOpResult::Aborted),
+            let res = match &found {
+                Ok(f) => TOpResult::Value(word_of(self.value_of(f, var))),
+                Err(Retry) => TOpResult::Aborted,
+            };
+            self.rec_respond(op, res);
+        }
+        match found {
+            Ok(f) => Ok(self.value_of(&f, var)),
+            Err(Retry) => {
+                self.poisoned = true;
+                Err(Retry)
             }
         }
-        if out.is_err() {
-            self.poisoned = true;
-        }
-        out
     }
 
-    /// The algorithm-specific read path (the [`crate::algo`] read hook),
-    /// without instrumentation.
-    fn read_raw<T: TxValue>(&mut self, var: &TVar<T>) -> Result<T, Retry> {
-        if let Some(w) = self.log.lookup_write(var.id()) {
-            let v = w.value.downcast_ref::<T>().expect("write-set type");
-            return Ok(v.clone());
+    /// The algorithm-specific read path (the [`crate::algo`] read hook)
+    /// behind the read-your-own-writes check, without instrumentation.
+    fn find<'v, T: TxValue>(&mut self, var: &'v TVar<T>) -> Result<Found<'v, T>, Retry> {
+        if self.log.lookup_write(var.id()).is_some() {
+            return Ok(Found::OwnWrite);
         }
-        algo::read(self, var)
+        algo::read(self, var).map(Found::Version)
+    }
+
+    /// Lends out the value a read found, for as long as `self` is
+    /// borrowed.
+    fn value_of<'a, T: TxValue>(&'a self, found: &Found<'a, T>, var: &TVar<T>) -> &'a T {
+        match found {
+            Found::OwnWrite => self
+                .log
+                .lookup_write(var.id())
+                .and_then(|w| w.value.downcast_ref::<T>())
+                .expect("write-set type"),
+            Found::Version(v) => v.get(&self.pin),
+        }
     }
 
     /// Reads, applies `f`, and writes back — the read-modify-write
@@ -273,8 +329,7 @@ impl<'s> Transaction<'s> {
         if self.poisoned {
             return Err(Retry);
         }
-        self.ensure_started();
-        self.tally.write();
+        // Invocation before the snapshot draw, as in `read_ref`.
         let op = self
             .rec
             .as_ref()
@@ -282,6 +337,8 @@ impl<'s> Transaction<'s> {
         if let Some(op) = op {
             self.rec_invoke(op);
         }
+        self.ensure_started();
+        self.tally.write();
         self.log
             .buffer_write(var.id(), var.as_dyn(), Box::new(value));
         if let Some(op) = op {
@@ -582,5 +639,30 @@ impl<'s> Transaction<'s> {
         };
         self.rec_respond(TOpDesc::TryCommit, res);
         ok
+    }
+}
+
+/// A test-only seam at the one point where an attempt has drawn its
+/// snapshot but user code has not run yet: tests install a closure that
+/// runs a rival commit there, to pin down how the recorded history
+/// brackets the snapshot draw.
+#[cfg(test)]
+pub(crate) mod tests_hook {
+    use std::cell::RefCell;
+
+    thread_local! {
+        static AFTER_BEGIN: RefCell<Option<Box<dyn FnOnce()>>> = const { RefCell::new(None) };
+    }
+
+    /// Runs `f` (once) right after this thread's next `ensure_started`
+    /// draws its snapshot.
+    pub(crate) fn set_after_begin(f: impl FnOnce() + 'static) {
+        AFTER_BEGIN.with(|h| *h.borrow_mut() = Some(Box::new(f)));
+    }
+
+    pub(super) fn after_begin() {
+        if let Some(f) = AFTER_BEGIN.with(|h| h.borrow_mut().take()) {
+            f();
+        }
     }
 }

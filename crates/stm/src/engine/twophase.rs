@@ -45,7 +45,6 @@
 
 use super::{Algorithm, Retry, Stm, Transaction};
 use crate::algo::{adaptive, mv, norec, tlrw, versioned};
-use crate::txlog::TxLog;
 use ptm_sim::{TOpDesc, TOpResult};
 
 /// A successfully prepared commit: locks held, validation passed, nothing
@@ -115,7 +114,7 @@ impl Stm {
     /// assert_eq!(v.load(), 2);
     /// ```
     pub fn transaction(&self) -> Transaction<'_> {
-        Transaction::begin(self, TxLog::default())
+        Transaction::begin(self)
     }
 }
 

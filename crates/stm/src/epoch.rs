@@ -2,9 +2,11 @@
 //!
 //! [`TVar`](crate::TVar) values are immutable heap boxes published through
 //! an atomic pointer; a transactional read is therefore just
-//! *load-pointer, clone* with no lock acquired. The hazard is the writer
-//! side: a commit swaps the pointer and must not free the old box while
-//! some reader is still cloning it.
+//! *load-pointer, borrow* with no lock acquired and no copy made: the
+//! reader hands out a reference into the box that stays valid for as
+//! long as its transaction stays pinned. The hazard is the writer side:
+//! a commit swaps the pointer and must not free the old box while some
+//! reader may still hold a reference into it.
 //!
 //! This module implements the classic deferred-reclamation answer:
 //!
@@ -151,6 +153,11 @@ struct Local {
     slot: Arc<Slot>,
     bag: Vec<Retired>,
     pins: usize,
+    /// Number of the current (or last) pin session: bumped each time
+    /// `pins` rises from zero, so two guards carry the same number
+    /// exactly when the thread stayed pinned from the older one's
+    /// creation to the newer one's.
+    session: u64,
 }
 
 impl Local {
@@ -166,6 +173,7 @@ impl Local {
             slot,
             bag: Vec::new(),
             pins: 0,
+            session: 0,
         }
     }
 }
@@ -200,15 +208,37 @@ thread_local! {
 /// epoch no newer than any pointer it may have loaded. Not `Send` — the
 /// pin lives in a thread-local slot.
 pub(crate) struct Guard {
+    /// The pin session this guard belongs to (see `Local::session`):
+    /// a pointer loaded under any guard of the same session is still
+    /// protected while this one lives. See [`Guard::covers`].
+    session: u64,
     _not_send: std::marker::PhantomData<*mut ()>,
+}
+
+impl Guard {
+    /// Whether a pointer loaded under a guard of `session` on this
+    /// thread is still protected by `self`: true exactly when the thread
+    /// has stayed pinned without a break since that load, because a
+    /// session number changes only when the pin count rises from zero.
+    /// (Guards are `!Send` and `!Sync`, so both sides of the comparison
+    /// belong to the current thread.)
+    pub(crate) fn covers(&self, session: u64) -> bool {
+        self.session == session
+    }
+
+    /// This guard's pin session, to stamp on pointers loaded under it.
+    pub(crate) fn session(&self) -> u64 {
+        self.session
+    }
 }
 
 /// Pins the current thread. Reentrant: nested pins keep the outermost
 /// (oldest, most conservative) published epoch.
 pub(crate) fn pin() -> Guard {
-    LOCAL.with(|l| {
+    let session = LOCAL.with(|l| {
         let mut l = l.borrow_mut();
         if l.pins == 0 {
+            l.session += 1;
             // Publish the epoch, then re-check it did not advance under
             // us: after this loop, collectors are guaranteed to observe
             // either our published value or a fresher global epoch that
@@ -222,8 +252,10 @@ pub(crate) fn pin() -> Guard {
             }
         }
         l.pins += 1;
+        l.session
     });
     Guard {
+        session,
         _not_send: std::marker::PhantomData,
     }
 }

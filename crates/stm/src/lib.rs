@@ -89,13 +89,17 @@
 //! ## Design notes
 //!
 //! A TL2 transactional read is *load orec word, load value pointer,
-//! clone, re-check word* — it acquires no lock and performs **no
-//! shared-memory write**, which is exactly the invisible-reads regime the
+//! re-check word* — it acquires no lock, performs **no shared-memory
+//! write** and copies nothing: [`Transaction::read_ref`] lends out a
+//! reference into the immutable version it found ([`Transaction::read`]
+//! adds one clone). That is exactly the invisible-reads regime the
 //! paper prices out; a Tlrw read instead *announces itself* with one
-//! `fetch_add` on the stripe's reader–writer word and never validates. Values are immutable once published, so readers can never observe
+//! `fetch_add` on the stripe's reader–writer word and never validates.
+//! Values are immutable once published, so readers can never observe
 //! a torn value; writers swap whole boxes under their commit-time
 //! exclusion and retire the old ones to an epoch collector, which frees
-//! them once every pinned reader has moved on. The `unsafe` needed for
+//! them once every pinned reader has moved on — so a borrowed value
+//! stays valid for as long as its transaction stays pinned. The `unsafe` needed for
 //! this (pointer dereference on the read path, deferred frees) is
 //! confined to the `tvar` and `epoch` modules, each carrying the safety
 //! argument next to the code; the rest of the crate is `#![deny(unsafe_code)]`-clean.

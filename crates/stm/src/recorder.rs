@@ -440,7 +440,7 @@ impl RecTx {
         if let Some(&obj) = cache.get(&var_id) {
             return obj;
         }
-        let obj = self.shared.object_for(var_id, || word_of(&var.load()));
+        let obj = self.shared.object_for(var_id, || var.peek(word_of));
         cache.insert(var_id, obj);
         obj
     }

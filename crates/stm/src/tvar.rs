@@ -4,9 +4,13 @@
 //! transaction. Values live in a **timestamped version chain**: the
 //! newest version is published through an `AtomicPtr` head (the
 //! latest-pointer fast path — single-version algorithms load it and
-//! clone, **no lock, no reference-count traffic, no tearing**, exactly
-//! the one-load read of the previous single-cell design), and each
-//! version links to the one it superseded. The chain is what
+//! borrow the value in place, **no lock, no reference-count traffic, no
+//! copy, no tearing**, exactly the one-load read of the previous
+//! single-cell design), and each version links to the one it
+//! superseded. A read yields a [`VersionRef`]: the version node it
+//! resolved to, which the transaction turns into a `&T` that lives as
+//! long as its epoch pin; the value is cloned only if the caller asks
+//! for an owned copy. The chain is what
 //! [`Algorithm::Mv`](crate::Algorithm::Mv) reads: a snapshot reader
 //! traverses to the newest version no newer than its start time and
 //! never validates, never aborts.
@@ -37,10 +41,12 @@
 use crate::epoch::{Guard, Retired};
 use std::any::Any;
 use std::fmt;
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Values storable in a [`TVar`]: cloneable (reads snapshot), comparable
+/// Values storable in a [`TVar`]: cloneable (owned reads and buffered
+/// writes copy), comparable
 /// (NOrec validates by value), and thread-safe.
 ///
 /// Implemented automatically for every eligible type.
@@ -80,7 +86,7 @@ struct Version<T> {
     /// down any chain; never mutated once the node is reachable.
     idx: u64,
     /// Skip link to a strictly older retained node (null: none), letting
-    /// [`TVarInner::read_at_counted`] descend a long chain in
+    /// [`TVarInner::at`] descend a long chain in
     /// O(log² chain) hops instead of O(chain). Purely an accelerator —
     /// every skip target is also reachable through `prev` — but a
     /// *clamped* one: trims re-aim any skip that would cross the cut
@@ -192,6 +198,74 @@ pub(crate) trait AnyTVar: Send + Sync {
     fn value_eq(&self, pin: &Guard, snapshot: &(dyn Any + Send)) -> bool;
 }
 
+/// A version a read resolved to, not yet dereferenced: the borrowed
+/// read's currency. [`TVarInner::latest`] and [`TVarInner::at`] hand
+/// one out; [`VersionRef::get`] turns it into a `&T` into the immutable
+/// version node, valid for as long as the caller's epoch pin.
+///
+/// The split exists because a transaction must finish its own
+/// bookkeeping (orec re-check, read-set entry, recorder response)
+/// between loading the node and handing the reference to user code, and
+/// a reference borrowed from the transaction's guard would lock the
+/// whole transaction for that time. The handle instead borrows only the
+/// variable (`'v`, which keeps the chain's owner alive) and remembers
+/// the pin session it was loaded in, which `get` checks.
+pub(crate) struct VersionRef<'v, T> {
+    node: *const Version<T>,
+    /// Pin session the node was loaded in ([`Guard::session`]).
+    session: u64,
+    _var: PhantomData<&'v TVarInner<T>>,
+}
+
+impl<T> Clone for VersionRef<'_, T> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<T> Copy for VersionRef<'_, T> {}
+
+impl<'v, T> VersionRef<'v, T> {
+    /// Wraps a node pointer loaded from a chain while `pin` was held.
+    /// Private: only this module's chain loads may mint one.
+    fn new(node: *const Version<T>, pin: &Guard) -> Self {
+        VersionRef {
+            node,
+            session: pin.session(),
+            _var: PhantomData,
+        }
+    }
+
+    /// The version's value, borrowed for as long as `pin` lives.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pin` belongs to a later pin session than the load —
+    /// the thread was unpinned in between, so the node may be freed.
+    pub(crate) fn get<'g>(self, pin: &'g Guard) -> &'g T
+    where
+        'v: 'g,
+    {
+        assert!(
+            pin.covers(self.session),
+            "version reference used after its epoch pin ended"
+        );
+        // SAFETY: `node` was loaded from this variable's chain (`new` is
+        // only called by `latest`/`at`) while a guard of `self.session`
+        // was held, after the Acquire load that pairs with the
+        // publishing Release, so the node was fully initialized. The
+        // session check proves this thread has stayed pinned since that
+        // load, so the epoch collector cannot have freed the node even
+        // if a commit has since unlinked it (retirement tags postdate
+        // the unlink; the collector frees only tags newer than every
+        // pinned epoch), and `pin` keeps it so for `'g`. The variable
+        // itself — whose `Drop` frees the retained chain directly — is
+        // borrowed for `'v: 'g`. Version values are never mutated once
+        // reachable, so a shared borrow cannot observe a write.
+        unsafe { &(*self.node).value }
+    }
+}
+
 pub(crate) struct TVarInner<T> {
     /// Always points at a live, fully initialized version node — the
     /// newest. Only `publish_boxed`/`append_boxed` replace it (under the
@@ -219,49 +293,30 @@ impl<T: TxValue> TVarInner<T> {
         }
     }
 
-    /// Clones the newest value without any lock — the latest-pointer
-    /// fast path: one load and one dereference, exactly the cost the
-    /// single-cell design paid, chain or no chain.
+    /// The newest version, without any lock — the latest-pointer fast
+    /// path: one load, no dereference until the caller asks for the
+    /// value, no copy at all.
     ///
-    /// The `pin` witness proves an epoch guard is held, which is what
-    /// keeps the loaded node alive across the dereference.
-    pub(crate) fn read_snapshot(&self, _pin: &Guard) -> T {
-        let p = self.head.load(Ordering::Acquire);
-        // SAFETY: `p` was published by `new`, `publish_boxed` or
-        // `append_boxed` (Acquire pairs with their Release, so the node
-        // is fully initialized), its value is never mutated in place, and
-        // it cannot be freed while this thread is pinned: retirement tags
-        // postdate the unlink, and the collector only frees tags newer
-        // than every pinned epoch.
-        unsafe { (*p).value.clone() }
+    /// The `pin` witness proves an epoch guard is held; its session is
+    /// what [`VersionRef::get`] later checks to keep the loaded node
+    /// alive across the dereference.
+    pub(crate) fn latest<'v>(&'v self, pin: &Guard) -> VersionRef<'v, T> {
+        VersionRef::new(self.head.load(Ordering::Acquire), pin)
     }
 
-    /// Clones the newest version stamped `<= rv` — the multi-version
-    /// snapshot read, ignoring eviction and walk accounting. Thin
-    /// wrapper over [`Self::read_at_counted`] for tests that want the
-    /// unbounded-chain semantics (a chain that has never evicted cannot
-    /// return `Evicted`).
-    #[cfg(test)]
-    pub(crate) fn read_at(&self, pin: &Guard, rv: u64) -> T {
-        match self.read_at_counted(pin, rv) {
-            Ok((value, _)) => value,
-            Err(Evicted) => self.read_snapshot(pin),
-        }
-    }
-
-    /// The snapshot read proper: clones the newest version stamped
-    /// `<= rv` and reports how many chain hops past the head the walk
-    /// took. No orec probe, no validation: the trim rule keeps the
-    /// chain's oldest retained version at or below every snapshot drawn
-    /// from this instance's clock, so in-instance walks always find
-    /// their version — except when [`AnyTVar::cap_chain`] evicted it,
-    /// which the walk reports as `Err(Evicted)` (abort and retry with a
-    /// fresh snapshot). Walking off the end *without* eviction history
-    /// only arises when a variable written under one `Stm` is later read
+    /// The snapshot read proper: the newest version stamped `<= rv`,
+    /// and how many chain hops past the head the walk took. No orec
+    /// probe, no validation: the trim rule keeps the chain's oldest
+    /// retained version at or below every snapshot drawn from this
+    /// instance's clock, so in-instance walks always find their version
+    /// — except when [`AnyTVar::cap_chain`] evicted it, which the walk
+    /// reports as `Err(Evicted)` (abort and retry with a fresh
+    /// snapshot). Walking off the end *without* eviction history only
+    /// arises when a variable written under one `Stm` is later read
     /// under another whose (fresh, smaller) clock is below every
     /// retained stamp — a sequential handoff, where the correct answer
     /// is the *current* value: fall back to the head, agreeing with
-    /// [`Self::read_snapshot`] and every single-version algorithm.
+    /// [`Self::latest`] and every single-version algorithm.
     ///
     /// The walk descends by skip pointer where it can: a skip target
     /// whose stamp still exceeds `rv` can be jumped to directly, because
@@ -272,20 +327,24 @@ impl<T: TxValue> TVarInner<T> {
     /// Against the Fenwick-shaped skips `append_boxed` builds this is
     /// O(log² chain) hops; correctness never depends on the skips, only
     /// on `prev`.
-    pub(crate) fn read_at_counted(&self, pin: &Guard, rv: u64) -> Result<(T, u64), Evicted> {
+    pub(crate) fn at<'v>(
+        &'v self,
+        pin: &Guard,
+        rv: u64,
+    ) -> Result<(VersionRef<'v, T>, u64), Evicted> {
         let mut steps = 0u64;
         let mut p = self.head.load(Ordering::Acquire);
         loop {
-            // SAFETY: as in `read_snapshot` — every node reachable from
-            // the head was fully published and is kept alive by the pin;
-            // trimming detaches only suffixes no snapshot `>= watermark`
-            // can walk into, this snapshot is `>= watermark` by the
-            // registry's floor-first scan (see `SnapshotRegistry`), and
-            // skip pointers are clamped inside the retained chain before
-            // any detach.
+            // SAFETY: every node reachable from the head was fully
+            // published (Acquire pairs with the publishing Release) and
+            // is kept alive by the pin; trimming detaches only suffixes
+            // no snapshot `>= watermark` can walk into, this snapshot is
+            // `>= watermark` by the registry's floor-first scan (see
+            // `SnapshotRegistry`), and skip pointers are clamped inside
+            // the retained chain before any detach.
             let node = unsafe { &*p };
             if node.stamp() <= rv {
-                return Ok((node.value.clone(), steps));
+                return Ok((VersionRef::new(p, pin), steps));
             }
             steps += 1;
             let skip = node.skip.load(Ordering::Acquire);
@@ -302,7 +361,7 @@ impl<T: TxValue> TVarInner<T> {
                 return if self.evicted_stamp.load(Ordering::Acquire) != 0 {
                     Err(Evicted)
                 } else {
-                    Ok((self.read_snapshot(pin), steps))
+                    Ok((self.latest(pin), steps))
                 };
             }
             p = prev;
@@ -350,7 +409,7 @@ impl<T: TxValue> TVarInner<T> {
         let mut p = self.head.load(Ordering::Acquire);
         while !p.is_null() {
             n += 1;
-            // SAFETY: reachable nodes are live (see `read_at`); callers
+            // SAFETY: reachable nodes are live (see `at`); callers
             // hold an epoch pin via `TVar::versions_retained`.
             p = unsafe { (*p).prev.load(Ordering::Acquire) };
         }
@@ -524,15 +583,9 @@ impl<T: TxValue> AnyTVar for TVarInner<T> {
     }
 
     fn value_eq(&self, pin: &Guard, snapshot: &(dyn Any + Send)) -> bool {
-        match snapshot.downcast_ref::<T>() {
-            Some(snap) => {
-                let p = self.head.load(Ordering::Acquire);
-                // SAFETY: as in `read_snapshot`; `pin` keeps the node alive.
-                let _ = pin;
-                unsafe { (*p).value == *snap }
-            }
-            None => false,
-        }
+        snapshot
+            .downcast_ref::<T>()
+            .is_some_and(|snap| self.latest(pin).get(pin) == snap)
     }
 }
 
@@ -595,8 +648,13 @@ impl<T: TxValue> TVar<T> {
     /// single variable). Useful for inspecting results after the
     /// concurrent phase is over.
     pub fn load(&self) -> T {
+        self.peek(T::clone)
+    }
+
+    /// Applies `f` to the current value in place, without copying it.
+    pub(crate) fn peek<R>(&self, f: impl FnOnce(&T) -> R) -> R {
         let pin = crate::epoch::pin();
-        self.inner.read_snapshot(&pin)
+        f(self.inner.latest(&pin).get(&pin))
     }
 
     /// How many versions of this variable are currently retained: 1
@@ -627,6 +685,40 @@ impl<T: TxValue + Default> Default for TVar<T> {
 mod tests {
     use super::*;
     use crate::epoch;
+
+    /// The value a snapshot read at `rv` resolves to, with its walk
+    /// length.
+    fn read_at(v: &TVar<u64>, pin: &Guard, rv: u64) -> Result<(u64, u64), Evicted> {
+        v.inner.at(pin, rv).map(|(r, steps)| (*r.get(pin), steps))
+    }
+
+    #[test]
+    fn version_refs_borrow_in_place_while_the_session_lasts() {
+        let v = TVar::new(String::from("x"));
+        let outer = epoch::pin();
+        // Loaded under a nested guard of the same session: still covered
+        // by the outer one after the nested guard drops.
+        let r = {
+            let inner = epoch::pin();
+            v.inner.latest(&inner)
+        };
+        // A publish unlinks the node; the pin keeps it alive and intact.
+        epoch::retire_batch(vec![v.inner.publish_boxed(Box::new(String::from("y")))]);
+        assert_eq!(r.get(&outer), "x");
+        assert_eq!(v.inner.latest(&outer).get(&outer), "y");
+    }
+
+    #[test]
+    #[should_panic(expected = "after its epoch pin ended")]
+    fn version_refs_refuse_a_later_pin_session() {
+        let v = TVar::new(1u64);
+        let r = {
+            let pin = epoch::pin();
+            v.inner.latest(&pin)
+        };
+        let pin = epoch::pin();
+        let _ = r.get(&pin);
+    }
 
     #[test]
     fn new_and_load() {
@@ -678,14 +770,14 @@ mod tests {
         // Newest fast path sees the newest value.
         assert_eq!(v.load(), 19);
         // Snapshot reads land on the newest version <= rv.
-        assert_eq!(v.inner.read_at(&pin, 0), 10);
-        assert_eq!(v.inner.read_at(&pin, 2), 10);
-        assert_eq!(v.inner.read_at(&pin, 3), 13);
-        assert_eq!(v.inner.read_at(&pin, 4), 13);
-        assert_eq!(v.inner.read_at(&pin, 5), 15);
-        assert_eq!(v.inner.read_at(&pin, 8), 15);
-        assert_eq!(v.inner.read_at(&pin, 9), 19);
-        assert_eq!(v.inner.read_at(&pin, u64::MAX - 1), 19);
+        assert_eq!(read_at(&v, &pin, 0).unwrap().0, 10);
+        assert_eq!(read_at(&v, &pin, 2).unwrap().0, 10);
+        assert_eq!(read_at(&v, &pin, 3).unwrap().0, 13);
+        assert_eq!(read_at(&v, &pin, 4).unwrap().0, 13);
+        assert_eq!(read_at(&v, &pin, 5).unwrap().0, 15);
+        assert_eq!(read_at(&v, &pin, 8).unwrap().0, 15);
+        assert_eq!(read_at(&v, &pin, 9).unwrap().0, 19);
+        assert_eq!(read_at(&v, &pin, u64::MAX - 1).unwrap().0, 19);
     }
 
     #[test]
@@ -704,8 +796,8 @@ mod tests {
         assert_eq!(v.versions_retained(), 3);
         let pin = epoch::pin();
         // Snapshots at or above the watermark still resolve.
-        assert_eq!(v.inner.read_at(&pin, 5), 40);
-        assert_eq!(v.inner.read_at(&pin, 7), 60);
+        assert_eq!(read_at(&v, &pin, 5).unwrap().0, 40);
+        assert_eq!(read_at(&v, &pin, 7).unwrap().0, 60);
         // Trimming to the same watermark again is a no-op.
         let (retained, trimmed) = v.inner.trim_chain(5, &mut out);
         assert_eq!((retained, trimmed), (3, 0));
@@ -734,7 +826,7 @@ mod tests {
                                                      // below it can prove nothing unreachable.
             let (retained, trimmed) = v.inner.trim_chain(10, &mut out);
             assert_eq!((retained, trimmed), (1, 0));
-            assert_eq!(v.inner.read_at(&pin, 10), 2, "oldest retained wins");
+            assert_eq!(read_at(&v, &pin, 10).unwrap().0, 2, "oldest retained wins");
         }
         epoch::retire_batch(out);
     }
@@ -808,17 +900,17 @@ mod tests {
             v.inner.stamp_head(wv);
         }
         let pin = epoch::pin();
-        let (val, steps) = v.inner.read_at_counted(&pin, 0).unwrap();
+        let (val, steps) = read_at(&v, &pin, 0).unwrap();
         assert_eq!(val, 0);
         assert!(
             steps <= 150,
             "camped walk took {steps} hops on a 1024-version chain"
         );
-        let (val, steps) = v.inner.read_at_counted(&pin, 512).unwrap();
+        let (val, steps) = read_at(&v, &pin, 512).unwrap();
         assert_eq!(val, 512);
         assert!(steps <= 150, "mid-chain walk took {steps} hops");
         // The head fast path stays free.
-        let (val, steps) = v.inner.read_at_counted(&pin, 1024).unwrap();
+        let (val, steps) = read_at(&v, &pin, 1024).unwrap();
         assert_eq!((val, steps), (1024, 0));
     }
 
@@ -840,10 +932,10 @@ mod tests {
         assert_eq!(v.inner.evicted_stamp.load(Ordering::Relaxed), 5);
         let pin = epoch::pin();
         // Snapshots at or past the cut still resolve...
-        assert_eq!(v.inner.read_at_counted(&pin, 6).unwrap().0, 60);
-        assert_eq!(v.inner.read_at_counted(&pin, 8).unwrap().0, 80);
+        assert_eq!(read_at(&v, &pin, 6).unwrap().0, 60);
+        assert_eq!(read_at(&v, &pin, 8).unwrap().0, 80);
         // ...an older snapshot aborts instead of mis-reading.
-        assert!(v.inner.read_at_counted(&pin, 4).is_err());
+        assert!(read_at(&v, &pin, 4).is_err());
         // A zero cap behaves as 1: the head is never evicted.
         assert_eq!(v.inner.cap_chain(0, &mut out), 2);
         assert_eq!(v.versions_retained(), 1);
@@ -872,7 +964,7 @@ mod tests {
         }
         let pin = epoch::pin();
         for rv in 91..=97u64 {
-            assert_eq!(v.inner.read_at_counted(&pin, rv).unwrap().0, rv.min(96));
+            assert_eq!(read_at(&v, &pin, rv).unwrap().0, rv.min(96));
         }
     }
 
@@ -915,7 +1007,7 @@ mod tests {
                     epoch::retire_batch(std::mem::take(&mut out));
                     let pin = epoch::pin();
                     for rv in 0..=clock + 1 {
-                        match (v.inner.read_at_counted(&pin, rv), linear_read(&v, rv)) {
+                        match (read_at(&v, &pin, rv), linear_read(&v, rv)) {
                             (Ok((val, _)), Some(lin)) => prop_assert_eq!(val, lin),
                             (Err(Evicted), None) => {
                                 // Both walked off the end of a capped

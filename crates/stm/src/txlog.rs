@@ -14,14 +14,35 @@
 //! * `writes` — buffered `(variable, value)` updates, published only at
 //!   commit.
 //!
-//! The log survives aborts: [`TxLog::reset`] clears entries but keeps the
-//! vector capacity, so a retrying transaction reallocates nothing.
+//! The log outlives its transaction: each thread keeps a small pool of
+//! cleared logs ([`TxLog::pooled`] / [`TxLog::recycle`]), so a retry, the
+//! next transaction, and every shard transaction of a cross-shard commit
+//! start from vectors that already have capacity — no allocation and no
+//! free per transaction on the hot path. [`POOL_LOGS`] bounds the pool
+//! and [`POOL_CAPACITY`] the capacity a pooled log keeps.
 
 use crate::epoch::Retired;
 use crate::tvar::AnyTVar;
 use std::any::Any;
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::Arc;
+
+/// Cleared logs each thread keeps for reuse. A thread with more
+/// transactions open at once than this — one cross-shard transaction
+/// over many shards — allocates the extra logs afresh and frees them
+/// when those transactions end.
+pub(crate) const POOL_LOGS: usize = 8;
+
+/// Entries each of a pooled log's vectors and indexes may keep
+/// allocated. A log that one large transaction grew past this gives the
+/// excess back before it is pooled, so an idle thread holds at most
+/// about `POOL_LOGS × POOL_CAPACITY` entries' worth of memory.
+pub(crate) const POOL_CAPACITY: usize = 4096;
+
+thread_local! {
+    static POOL: RefCell<Vec<TxLog>> = const { RefCell::new(Vec::new()) };
+}
 
 /// A versioned read observation (TL2 / Incremental / Mv).
 #[derive(Debug, Clone, Copy)]
@@ -138,6 +159,57 @@ impl std::fmt::Debug for TxLog {
 }
 
 impl TxLog {
+    /// A cleared log from this thread's pool, or a fresh one if the pool
+    /// is empty.
+    pub(crate) fn pooled() -> TxLog {
+        POOL.try_with(|p| p.borrow_mut().pop())
+            .ok()
+            .flatten()
+            .unwrap_or_default()
+    }
+
+    /// Clears this log and returns it to this thread's pool, first
+    /// giving back capacity past [`POOL_CAPACITY`]; drops it instead if
+    /// the pool already holds [`POOL_LOGS`] logs (or the thread is
+    /// exiting).
+    ///
+    /// The caller must have released any read locks tracked in
+    /// `rw_reads` first, as for [`TxLog::reset`].
+    pub(crate) fn recycle(mut self) {
+        // Clear outside the pool borrow: dropping the entries drops
+        // `TVar` handles and values, whose own `Drop` may run a
+        // transaction on this thread and so reach the pool itself.
+        self.reset();
+        self.shrink_to(POOL_CAPACITY);
+        let _ = POOL.try_with(|p| {
+            let mut pool = p.borrow_mut();
+            if pool.len() < POOL_LOGS {
+                pool.push(self);
+            }
+        });
+    }
+
+    /// Number of logs in this thread's pool.
+    #[cfg(test)]
+    pub(crate) fn pool_len() -> usize {
+        POOL.with(|p| p.borrow().len())
+    }
+
+    /// Releases capacity past `cap` entries in every vector and index
+    /// (each `shrink_to` is a no-op where capacity is already below).
+    fn shrink_to(&mut self, cap: usize) {
+        self.reads.shrink_to(cap);
+        self.value_reads.shrink_to(cap);
+        self.rw_reads.shrink_to(cap);
+        self.rw_index.shrink_to(cap);
+        self.writes.shrink_to(cap);
+        self.write_index.shrink_to(cap);
+        self.stripe_buf.shrink_to(cap);
+        self.held_buf.shrink_to(cap);
+        self.frames.shrink_to(cap);
+        self.undo.shrink_to(cap);
+    }
+
     /// Clears all entries, keeping allocated capacity for the retry.
     ///
     /// The caller must have released any read locks tracked in
@@ -541,5 +613,56 @@ mod tests {
         assert_eq!(a.load(), 7);
         assert_eq!(b.load(), "new");
         epoch::retire_batch(retired);
+    }
+
+    #[test]
+    fn recycled_logs_start_empty_and_keep_their_capacity() {
+        // A thread of its own: the pool is per thread.
+        std::thread::spawn(|| {
+            let mut log = TxLog::pooled();
+            let v = TVar::new(1u64);
+            for s in 0..100 {
+                log.reads.push(VersionedRead { stripe: s, meta: 0 });
+                log.rw_insert(s);
+            }
+            log.value_reads.push(ValueRead {
+                var: v.as_dyn(),
+                snapshot: Box::new(1u64),
+            });
+            log.buffer_write(v.id(), v.as_dyn(), Box::new(2u64));
+            let cap = log.reads.capacity();
+            log.recycle();
+            assert_eq!(TxLog::pool_len(), 1);
+            let log = TxLog::pooled();
+            assert_eq!(TxLog::pool_len(), 0);
+            assert!(log.reads.is_empty());
+            assert!(log.value_reads.is_empty());
+            assert!(log.rw_reads.is_empty());
+            assert!(log.writes.is_empty());
+            assert!(!log.rw_contains(5), "the rw index is cleared too");
+            assert!(log.lookup_write(v.id()).is_none());
+            assert_eq!(log.reads.capacity(), cap, "capacity survives pooling");
+        })
+        .join()
+        .unwrap();
+    }
+
+    #[test]
+    fn the_pool_bounds_its_size_and_each_log_s_capacity() {
+        std::thread::spawn(|| {
+            let logs: Vec<TxLog> = (0..POOL_LOGS + 3).map(|_| TxLog::pooled()).collect();
+            for mut log in logs {
+                log.reads.reserve(POOL_CAPACITY * 4);
+                log.recycle();
+            }
+            assert_eq!(TxLog::pool_len(), POOL_LOGS);
+            for _ in 0..POOL_LOGS {
+                let log = TxLog::pooled();
+                assert!(log.reads.capacity() <= POOL_CAPACITY);
+            }
+            assert_eq!(TxLog::pool_len(), 0);
+        })
+        .join()
+        .unwrap();
     }
 }

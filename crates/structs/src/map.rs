@@ -98,10 +98,11 @@ impl<K: TxValue + Hash + Eq, V: TxValue> THashMap<K, V> {
     ///
     /// [`Retry`] on conflict.
     pub fn get(&self, tx: &mut Transaction<'_>, key: &K) -> Result<Option<V>, Retry> {
-        let bucket = tx.read(self.bucket_of(key))?;
+        // Borrow the bucket in place: only the matched value is cloned.
+        let bucket = tx.read_ref(self.bucket_of(key))?;
         Ok(bucket
-            .into_iter()
-            .find_map(|(k, v)| (k == *key).then_some(v)))
+            .iter()
+            .find_map(|(k, v)| (k == key).then(|| v.clone())))
     }
 
     /// Whether `key` is present.
@@ -176,7 +177,7 @@ impl<K: TxValue + Hash + Eq, V: TxValue> THashMap<K, V> {
     pub fn len(&self, tx: &mut Transaction<'_>) -> Result<usize, Retry> {
         let mut n = 0;
         for b in self.buckets.iter() {
-            n += tx.read(b)?.len();
+            n += tx.read_ref(b)?.len();
         }
         Ok(n)
     }
@@ -188,7 +189,7 @@ impl<K: TxValue + Hash + Eq, V: TxValue> THashMap<K, V> {
     /// [`Retry`] on conflict.
     pub fn is_empty(&self, tx: &mut Transaction<'_>) -> Result<bool, Retry> {
         for b in self.buckets.iter() {
-            if !tx.read(b)?.is_empty() {
+            if !tx.read_ref(b)?.is_empty() {
                 return Ok(false);
             }
         }
@@ -203,7 +204,7 @@ impl<K: TxValue + Hash + Eq, V: TxValue> THashMap<K, V> {
     pub fn snapshot(&self, tx: &mut Transaction<'_>) -> Result<Vec<(K, V)>, Retry> {
         let mut out = Vec::new();
         for b in self.buckets.iter() {
-            out.extend(tx.read(b)?);
+            out.extend_from_slice(tx.read_ref(b)?);
         }
         Ok(out)
     }
@@ -212,7 +213,8 @@ impl<K: TxValue + Hash + Eq, V: TxValue> THashMap<K, V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ptm_stm::Stm;
+    use ptm_stm::{Algorithm, Stm};
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     /// All six algorithms: `get_wait`'s park/wake path must work under
     /// visible reads (Tlrw), mode switching (Adaptive) and snapshot
@@ -275,6 +277,56 @@ mod tests {
         snap.sort_unstable();
         assert_eq!(snap.len(), 32);
         assert_eq!(snap[31], (31, 310));
+    }
+
+    /// A value whose `Clone` counts its calls.
+    #[derive(Debug)]
+    struct Counted(u64, Arc<AtomicUsize>);
+
+    impl Clone for Counted {
+        fn clone(&self) -> Self {
+            self.1.fetch_add(1, Ordering::SeqCst);
+            Counted(self.0, Arc::clone(&self.1))
+        }
+    }
+
+    impl PartialEq for Counted {
+        fn eq(&self, other: &Self) -> bool {
+            self.0 == other.0
+        }
+    }
+
+    #[test]
+    fn get_clones_only_the_matched_value_all_modes() {
+        for stm in engines() {
+            let algo = stm.algorithm();
+            let clones = Arc::new(AtomicUsize::new(0));
+            // One bucket, so every lookup borrows a four-entry list.
+            let m: THashMap<u64, Counted> = THashMap::with_buckets(1);
+            stm.atomically(|tx| {
+                for k in 0..4 {
+                    m.insert(tx, k, Counted(k, Arc::clone(&clones)))?;
+                }
+                Ok(())
+            });
+            // NOrec also keeps one copy of the bucket it read, to
+            // validate by value.
+            let bucket_copy = if algo == Algorithm::Norec { 4 } else { 0 };
+            clones.store(0, Ordering::SeqCst);
+            let got = stm.atomically(|tx| m.get(tx, &2));
+            assert_eq!(got.map(|c| c.0), Some(2), "{algo:?}");
+            assert_eq!(
+                clones.swap(0, Ordering::SeqCst),
+                1 + bucket_copy,
+                "{algo:?}: hit"
+            );
+            assert!(stm.atomically(|tx| m.get(tx, &99)).is_none());
+            assert_eq!(
+                clones.swap(0, Ordering::SeqCst),
+                bucket_copy,
+                "{algo:?}: miss"
+            );
+        }
     }
 
     #[test]

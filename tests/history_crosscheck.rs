@@ -287,18 +287,31 @@ fn corrupted_read_value_is_rejected_by_the_checker() {
     for algo in ALGOS {
         let (mut log, _) = record_counter_run(algo, 2, 3);
         assert!(is_opaque(&history_of(&log)), "{algo:?}: pristine log");
-        // Flip the first read response to a value nothing ever wrote.
+        // Flip a read response of a *committed* transaction to a value
+        // nothing ever wrote. (The first read in the log may belong to
+        // an aborted attempt, which strict serializability ignores.)
+        let committed: Vec<TxId> = log
+            .iter()
+            .filter_map(|e| match &e.payload {
+                LogPayload::Marker(Marker::TxResponse {
+                    tx,
+                    op: TOpDesc::TryCommit,
+                    res: TOpResult::Committed,
+                }) => Some(*tx),
+                _ => None,
+            })
+            .collect();
         let target = log
             .iter_mut()
             .find_map(|e| match &mut e.payload {
                 LogPayload::Marker(Marker::TxResponse {
+                    tx,
                     op: TOpDesc::Read(_),
                     res: res @ TOpResult::Value(_),
-                    ..
-                }) => Some(res),
+                }) if committed.contains(tx) => Some(res),
                 _ => None,
             })
-            .expect("counter runs contain read responses");
+            .expect("committed counter transactions read");
         *target = TOpResult::Value(1_000_003);
         let h = history_of(&log);
         assert!(
