@@ -8,15 +8,12 @@
 //! ```text
 //! service-driver [--shards N] [--algo NAME] [--threads N] [--keys N]
 //!                [--theta F] [--ops N] [--mix R,W,S,M] [--span N]
-//!                [--window-commits N] [--hysteresis N] [--scan-reads F]
-//!                [--write-ratio F] [--read-ratio F]
+//!                [--window-commits N] [--hysteresis N]
 //! ```
 //!
-//! The second line tunes the adaptive controller (`AdaptiveConfig`):
-//! sampling window size, hysteresis windows, the scan-length threshold
-//! that routes to multiversion mode, and the read/write-ratio thresholds
-//! for the visible/invisible decision. They only take effect with
-//! `--algo adaptive`.
+//! The last two flags tune the adaptive controller (`AdaptiveConfig`):
+//! sampling window size and hysteresis windows. They only take effect
+//! with `--algo adaptive`.
 
 use ptm_server::{preload, run_workload, Mix, ServiceConfig, ShardedKv, Workload, WorkloadConfig};
 use ptm_stm::{AdaptiveConfig, Algorithm};
@@ -66,18 +63,6 @@ fn main() {
             }
             "--hysteresis" => {
                 acfg.hysteresis_windows = value(i).parse().expect("--hysteresis");
-                tuned = true;
-            }
-            "--scan-reads" => {
-                acfg.mv_scan_reads = value(i).parse().expect("--scan-reads");
-                tuned = true;
-            }
-            "--write-ratio" => {
-                acfg.write_ratio_visible = value(i).parse().expect("--write-ratio");
-                tuned = true;
-            }
-            "--read-ratio" => {
-                acfg.read_ratio_invisible = value(i).parse().expect("--read-ratio");
                 tuned = true;
             }
             "--mix" => {

@@ -1,5 +1,4 @@
-//! Adaptive: workload-driven switching across the paper's time–space
-//! tradeoff.
+//! Adaptive: workload-driven switching along the paper's time axis.
 //!
 //! The static single-version algorithms force the user to pick a side
 //! of the tradeoff at [`StmBuilder`](crate::StmBuilder) time: invisible reads
@@ -12,43 +11,32 @@
 //!
 //! * **invisible mode** — the Tl2 read/commit hooks over versioned orec
 //!   words (read-mostly phases: reads are two plain loads, no
-//!   shared-memory write),
+//!   shared-memory write), and
 //! * **visible mode** — the Tlrw read/commit hooks over reader–writer
 //!   orec words (write-heavy or abort-thrashing phases: per-stripe write
-//!   locks, no global clock hotspot, no read-set validation), and
-//! * **multiversion mode** — the Mv hooks over versioned orec words
-//!   (scan-heavy phases: long read-only transactions read the snapshot
-//!   named by their start time and *cannot* abort, paying in retained
-//!   versions — the paper's space axis as a routing target).
+//!   locks, no global clock hotspot, no read-set validation).
+//!
+//! The space axis is not a routing target: scan-heavy workloads that
+//! want abort-free snapshot reads should run the static
+//! [`Algorithm::Mv`](crate::Algorithm::Mv) directly.
 //!
 //! ## The decision signals
 //!
 //! Each window of [`AdaptiveConfig::window_commits`] commits, the
-//! controller computes from the stats delta (reads here meaning `reads +
-//! snapshot_reads`, so the signals stay comparable across modes):
+//! controller computes from the stats delta:
 //!
 //! * the **read/write-set size ratio** `reads / writes` — the primary
-//!   time-axis signal: at or below
-//!   [`AdaptiveConfig::write_ratio_visible`] the window was write-heavy
-//!   (go visible), at or above [`AdaptiveConfig::read_ratio_invisible`]
-//!   it was read-mostly (leave visible); the band between the two
-//!   thresholds is dead — no switching pressure either way;
-//! * the **scan length** `reads / commits` — the space-axis signal: at
-//!   or above [`AdaptiveConfig::mv_scan_reads`] the window's
-//!   transactions are long scans, which Mv serves without aborts or
-//!   validation; read-mostly departures from the other modes route to
-//!   multiversion instead of invisible when this fires;
+//!   signal: at or below 3 the window was write-heavy (go visible), at
+//!   or above 8 it was read-mostly (go invisible); the band between the
+//!   two thresholds is dead — no switching pressure either way;
 //! * the **abort rate** and **validation probes per read** — fast-path
-//!   accelerators out of invisible mode: when optimistic execution is
-//!   thrashing (aborted attempts re-running, validation work exceeding
-//!   the read work it protects), the switch skips hysteresis;
+//!   accelerators towards visible mode: when optimistic execution is
+//!   thrashing (a quarter of the attempts aborting, validation work
+//!   exceeding double the read work it protects), the switch skips
+//!   hysteresis;
 //! * **reader conflicts per commit** — an accelerant *out of* visible
-//!   mode: visible-read lock churn means the pessimistic side is paying
-//!   for a workload it no longer fits;
-//! * **eviction aborts** — an accelerant out of multiversion mode: under
-//!   a [`MvConfig`](crate::MvConfig) space bound, snapshots aging out of
-//!   capped chains mean the space budget no longer fits the camping
-//!   pattern, and invisible reads serve it with no chains at all.
+//!   mode: visible-read lock churn (one conflict per two commits) means
+//!   the pessimistic side is paying for a workload it no longer fits.
 //!
 //! A switch additionally requires the same target mode for
 //! [`AdaptiveConfig::hysteresis_windows`] consecutive windows, so a
@@ -56,12 +44,12 @@
 //!
 //! ## The epoch-quiesced transition
 //!
-//! The modes interpret the *same* orec table under different word
-//! formats (`version << 1 | locked` for Tl2 and Mv vs `readers << 1 |
-//! writer` for Tlrw), so a switch must never let transactions of
-//! different modes overlap. Every adaptive transaction registers in a
-//! per-mode active counter at its first operation and **pins its
-//! starting mode for the whole attempt**; the switcher
+//! The two modes interpret the *same* orec table under different word
+//! formats (`version << 1 | locked` vs `readers << 1 | writer`), so a
+//! switch must never let transactions of different modes overlap. Every
+//! adaptive transaction registers in a per-mode active counter at its
+//! first operation and **pins its starting mode for the whole attempt**;
+//! the switcher
 //!
 //! 1. raises a *draining* flag — new transactions spin (yielding) until
 //!    the transition resolves, in-flight ones finish under their pinned
@@ -71,18 +59,13 @@
 //!    long-running or nested transaction stalls the switch, never the
 //!    system;
 //! 3. reinterprets the quiesced table by resetting every word to zero —
-//!    sound in every direction: a zero word is "unlocked, version 0" to
+//!    sound in both directions: a zero word is "unlocked, version 0" to
 //!    the versioned format and "no readers, no writer" to the
 //!    reader–writer format, and every commit published under the old
 //!    mode happened-before the barrier, so the new mode never needs the
 //!    discarded versions to detect a conflict that predates it (the
-//!    global clock is *not* reset, keeping Tl2 and Mv snapshots
-//!    monotonic across any number of round trips). Quiescence also
-//!    leaves the snapshot registry empty — an Mv transaction holds its
-//!    registry slot for its whole pinned attempt — so a switch out of
-//!    multiversion mode strands no snapshot, and the switcher rebases
-//!    the registry's cached watermark to the current clock, releasing
-//!    every version the departed mode retained;
+//!    global clock is *not* reset, keeping Tl2 snapshots monotonic
+//!    across any number of round trips);
 //! 4. publishes the new mode, which releases the spinning beginners.
 //!
 //! Histories recorded across a switch stay opaque for the same reason
@@ -96,7 +79,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use super::{mv, tl2, tlrw};
+use super::{tl2, tlrw};
 
 /// Tuning knobs for [`Algorithm::Adaptive`](crate::Algorithm::Adaptive)'s
 /// mode controller, set through
@@ -125,31 +108,6 @@ pub struct AdaptiveConfig {
     /// Commits per sampling window: the controller inspects the stats
     /// delta once every `window_commits` commits. Must be at least 1.
     pub window_commits: u64,
-    /// Read/write ratio at or below which a window counts as
-    /// write-heavy and votes for **visible** mode. Must stay below
-    /// `read_ratio_invisible`; the gap between them is the dead band
-    /// that prevents flapping on mixed workloads.
-    pub write_ratio_visible: f64,
-    /// Read/write ratio at or above which a window counts as
-    /// read-mostly and votes for **invisible** mode.
-    pub read_ratio_invisible: f64,
-    /// Abort rate (aborts / attempts) at or above which a vote for
-    /// visible mode skips hysteresis: optimistic execution is thrashing
-    /// and every extra window spent invisible re-runs work.
-    pub abort_rate_fast: f64,
-    /// Validation probes per read at or above which a vote for visible
-    /// mode skips hysteresis: validation re-work has outgrown the read
-    /// work it protects.
-    pub probe_rate_fast: f64,
-    /// Reader conflicts per commit at or above which visible mode is
-    /// abandoned regardless of the read/write ratio: visible-read lock
-    /// churn is aborting transactions the invisible mode would commit.
-    pub reader_conflict_rate: f64,
-    /// Reads per commit (scan length, counting snapshot reads) at or
-    /// above which a read-leaning window counts as scan-heavy and
-    /// routes to **multiversion** mode, where long read-only
-    /// transactions never validate and never abort. Must be at least 1.
-    pub mv_scan_reads: f64,
     /// Consecutive windows that must agree on a target mode before the
     /// switch executes (fast-path signals override). Must be at least 1.
     pub hysteresis_windows: u32,
@@ -164,12 +122,6 @@ impl Default for AdaptiveConfig {
     fn default() -> Self {
         AdaptiveConfig {
             window_commits: 256,
-            write_ratio_visible: 3.0,
-            read_ratio_invisible: 8.0,
-            abort_rate_fast: 0.25,
-            probe_rate_fast: 2.0,
-            reader_conflict_rate: 0.5,
-            mv_scan_reads: 64.0,
             hysteresis_windows: 2,
             max_drain: Duration::from_millis(5),
         }
@@ -188,55 +140,66 @@ impl AdaptiveConfig {
             self.hysteresis_windows >= 1,
             "hysteresis_windows must be at least 1"
         );
-        assert!(
-            self.write_ratio_visible < self.read_ratio_invisible,
-            "the visible/invisible ratio thresholds must leave a dead band \
-             (write_ratio_visible < read_ratio_invisible)"
-        );
-        assert!(
-            self.mv_scan_reads >= 1.0,
-            "mv_scan_reads must be at least 1"
-        );
     }
 }
 
-/// The three hook sets an adaptive instance moves between.
+/// Read/write ratio at or below which a window counts as write-heavy
+/// and votes for visible mode.
+const WRITE_RATIO_VISIBLE: f64 = 3.0;
+
+/// Read/write ratio at or above which a window counts as read-mostly
+/// and votes for invisible mode.
+const READ_RATIO_INVISIBLE: f64 = 8.0;
+
+// The gap between the two ratio thresholds is the dead band that keeps
+// mixed workloads from flapping.
+const _: () = assert!(WRITE_RATIO_VISIBLE < READ_RATIO_INVISIBLE);
+
+/// Abort rate (aborts / attempts) at or above which a vote for visible
+/// mode skips hysteresis: every extra window spent invisible re-runs
+/// work.
+const ABORT_RATE_FAST: f64 = 0.25;
+
+/// Validation probes per read at or above which a vote for visible mode
+/// skips hysteresis: validation re-work has outgrown the read work it
+/// protects.
+const PROBE_RATE_FAST: f64 = 2.0;
+
+/// Reader conflicts per commit at or above which visible mode is
+/// abandoned regardless of the read/write ratio: visible-read lock churn
+/// is aborting transactions the invisible mode would commit.
+const READER_CONFLICT_RATE: f64 = 0.5;
+
+/// The two orec word formats an adaptive instance moves between.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Mode {
     /// Tl2 hooks: versioned lock words, optimistic invisible reads.
     Invisible = 0,
     /// Tlrw hooks: reader–writer lock words, announced visible reads.
     Visible = 1,
-    /// Mv hooks: versioned lock words, snapshot reads over version
-    /// chains — abort-free read-only transactions at a space cost.
-    Multiversion = 2,
 }
 
 impl Mode {
-    /// Decodes the mode bits of the packed state word.
+    /// Decodes the mode bit of the packed state word.
     fn from_bits(bits: u64) -> Mode {
-        match bits & MODE_MASK {
-            1 => Mode::Visible,
-            2 => Mode::Multiversion,
-            _ => Mode::Invisible,
+        if bits & 1 == 0 {
+            Mode::Invisible
+        } else {
+            Mode::Visible
         }
     }
 
-    /// The public three-valued mode this maps to in [`StatsSnapshot`].
+    /// The public mode this maps to in [`StatsSnapshot`].
     fn active(self) -> ActiveMode {
         match self {
             Mode::Invisible => ActiveMode::Invisible,
             Mode::Visible => ActiveMode::Visible,
-            Mode::Multiversion => ActiveMode::Multiversion,
         }
     }
 }
 
-/// Mode bits in the packed state word.
-const MODE_MASK: u64 = 3;
-
-/// Draining flag in the packed state word (bits 0–1 are the mode).
-const DRAIN: u64 = 4;
+/// Draining flag in the packed state word (bit 0 is the mode).
+const DRAIN: u64 = 2;
 
 /// Controller bookkeeping, touched once per window under the `ctl` lock.
 #[derive(Default)]
@@ -256,7 +219,7 @@ pub(crate) struct AdaptiveState {
     state: AtomicU64,
     /// In-flight transactions per mode; a switch drains the old mode's
     /// count to zero before reinterpreting the orec table.
-    active: [AtomicU64; 3],
+    active: [AtomicU64; 2],
     /// Commit count at the last sample; the window check compares it
     /// against the live commit counter (one plain load per stats shard),
     /// so the per-commit hot path pays no extra RMW.
@@ -278,7 +241,7 @@ impl AdaptiveState {
         AdaptiveState {
             cfg,
             state: AtomicU64::new(Mode::Invisible as u64),
-            active: [AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0)],
+            active: [AtomicU64::new(0), AtomicU64::new(0)],
             last_sample: AtomicU64::new(0),
             ctl: Mutex::new(Ctl::default()),
         }
@@ -315,21 +278,17 @@ pub(crate) fn begin(tx: &mut Transaction<'_>) -> u64 {
         // flag — never neither).
         if ad.state.load(Ordering::SeqCst) == s {
             tx.pinned = Some(mode);
+            // Resolve the per-operation dispatch to the pinned hooks:
+            // later reads/commits cost one match, exactly like a static
+            // instance.
             return match mode {
                 Mode::Invisible => {
-                    // Resolve the per-operation dispatch to the pinned
-                    // hooks: later reads/commits cost one match, exactly
-                    // like a static instance.
                     tx.mode = Algorithm::Tl2;
                     tl2::begin(tx.stm)
                 }
                 Mode::Visible => {
                     tx.mode = Algorithm::Tlrw;
                     tlrw::begin(tx.stm)
-                }
-                Mode::Multiversion => {
-                    tx.mode = Algorithm::Mv;
-                    mv::begin(tx)
                 }
             };
         }
@@ -382,7 +341,7 @@ fn sample(stm: &Stm, ad: &AdaptiveState, ctl: &mut Ctl) {
     let d = snap.since(&ctl.last);
     ctl.last = snap;
     let mode = ad.mode();
-    let Some(want) = desired(&ad.cfg, mode, &d) else {
+    let Some(want) = desired(mode, &d) else {
         ctl.target = None;
         ctl.streak = 0;
         return;
@@ -393,7 +352,7 @@ fn sample(stm: &Stm, ad: &AdaptiveState, ctl: &mut Ctl) {
         ctl.target = Some(want);
         ctl.streak = 1;
     }
-    let decided = ctl.streak >= ad.cfg.hysteresis_windows || fast_path(&ad.cfg, mode, &d);
+    let decided = ctl.streak >= ad.cfg.hysteresis_windows || fast_path(mode, &d);
     // A failed drain keeps the streak: the switch re-fires at the next
     // window boundary without re-earning hysteresis.
     if decided && try_switch(stm, ad, mode, want) {
@@ -403,63 +362,34 @@ fn sample(stm: &Stm, ad: &AdaptiveState, ctl: &mut Ctl) {
 }
 
 /// The mode this window's signals vote for, if any (`None` inside the
-/// dead band). Reads are counted mode-independently (`reads +
-/// snapshot_reads`), so the ratio and scan-length signals mean the same
-/// thing whichever hooks produced them.
-fn desired(cfg: &AdaptiveConfig, mode: Mode, d: &StatsSnapshot) -> Option<Mode> {
+/// dead band).
+fn desired(mode: Mode, d: &StatsSnapshot) -> Option<Mode> {
     if d.commits == 0 {
         return None;
     }
-    let reads = d.reads + d.snapshot_reads;
-    let ratio = reads as f64 / d.writes.max(1) as f64;
-    // Scan-heavy: transactions long enough that Mv's abort-free
-    // validation-free snapshot reads beat both single-version modes.
-    let scanny = reads as f64 / d.commits as f64 >= cfg.mv_scan_reads;
+    let ratio = d.reads as f64 / d.writes.max(1) as f64;
     match mode {
         Mode::Invisible => {
-            if scanny && ratio > cfg.write_ratio_visible {
-                Some(Mode::Multiversion)
-            } else {
-                (ratio <= cfg.write_ratio_visible || fast_path(cfg, mode, d))
-                    .then_some(Mode::Visible)
-            }
+            (ratio <= WRITE_RATIO_VISIBLE || fast_path(mode, d)).then_some(Mode::Visible)
         }
         Mode::Visible => {
             let conflicts = d.reader_conflicts as f64 / d.commits as f64;
-            (ratio >= cfg.read_ratio_invisible || conflicts >= cfg.reader_conflict_rate).then_some(
-                if scanny {
-                    Mode::Multiversion
-                } else {
-                    Mode::Invisible
-                },
-            )
-        }
-        Mode::Multiversion => {
-            if ratio <= cfg.write_ratio_visible {
-                // Write-heavy: chains churn for readers that no longer
-                // scan; the visible side serves writers best.
-                Some(Mode::Visible)
-            } else {
-                // Short transactions no longer need snapshots, and
-                // eviction aborts mean the space bound no longer fits
-                // the camping pattern — either way invisible reads serve
-                // the read side without the chains.
-                (!scanny || d.eviction_aborts > 0).then_some(Mode::Invisible)
-            }
+            (ratio >= READ_RATIO_INVISIBLE || conflicts >= READER_CONFLICT_RATE)
+                .then_some(Mode::Invisible)
         }
     }
 }
 
 /// Whether the window shows optimistic execution thrashing badly enough
-/// to skip hysteresis on the way out of invisible mode.
-fn fast_path(cfg: &AdaptiveConfig, mode: Mode, d: &StatsSnapshot) -> bool {
+/// to skip hysteresis on the way to visible mode.
+fn fast_path(mode: Mode, d: &StatsSnapshot) -> bool {
     if mode != Mode::Invisible {
         return false;
     }
     let attempts = (d.commits + d.aborts).max(1) as f64;
     let abort_rate = d.aborts as f64 / attempts;
     let probes_per_read = d.validation_probes as f64 / d.reads.max(1) as f64;
-    abort_rate >= cfg.abort_rate_fast || probes_per_read >= cfg.probe_rate_fast
+    abort_rate >= ABORT_RATE_FAST || probes_per_read >= PROBE_RATE_FAST
 }
 
 /// The epoch-quiesced transition itself; returns whether it completed.
@@ -477,18 +407,10 @@ fn try_switch(stm: &Stm, ad: &AdaptiveState, from: Mode, to: Mode) -> bool {
         }
         std::thread::yield_now();
     }
-    // Quiesced: no transaction of any mode is active (beginners spin on
-    // the drain flag, the other modes' counts are zero by the stable-
+    // Quiesced: no transaction of either mode is active (beginners spin
+    // on the drain flag, the other mode's count is zero by the stable-
     // state invariant), so no thread holds or interprets any orec word.
     stm.orecs.reset_all();
-    // Quiescence also empties the snapshot registry (an Mv transaction
-    // holds its slot for its whole pinned attempt), so rebase its cached
-    // watermark to the current clock: every version the departing mode
-    // retained for its snapshots is releasable, and the next Mv window
-    // starts from an exact cache instead of a stale floor.
-    if let Some(reg) = stm.snapshots.as_ref() {
-        reg.refresh_watermark(&stm.clock);
-    }
     stm.stats.mode_transition(to.active());
     // The SeqCst store publishing the new mode orders the resets above
     // before any beginner that observes it.
@@ -512,120 +434,63 @@ mod tests {
 
     #[test]
     fn ratio_thresholds_vote_with_a_dead_band() {
-        let cfg = AdaptiveConfig::default();
         // Write-heavy: 2 reads / 2 writes per commit.
         let d = delta(100, 0, 200, 200);
-        assert_eq!(desired(&cfg, Mode::Invisible, &d), Some(Mode::Visible));
-        assert_eq!(desired(&cfg, Mode::Visible, &d), None);
+        assert_eq!(desired(Mode::Invisible, &d), Some(Mode::Visible));
+        assert_eq!(desired(Mode::Visible, &d), None);
         // Read-mostly: 16 reads per write.
         let d = delta(100, 0, 1600, 100);
-        assert_eq!(desired(&cfg, Mode::Visible, &d), Some(Mode::Invisible));
-        assert_eq!(desired(&cfg, Mode::Invisible, &d), None);
+        assert_eq!(desired(Mode::Visible, &d), Some(Mode::Invisible));
+        assert_eq!(desired(Mode::Invisible, &d), None);
         // Dead band: neither threshold crossed, no pressure either way.
         let d = delta(100, 0, 500, 100);
-        assert_eq!(desired(&cfg, Mode::Invisible, &d), None);
-        assert_eq!(desired(&cfg, Mode::Visible, &d), None);
+        assert_eq!(desired(Mode::Invisible, &d), None);
+        assert_eq!(desired(Mode::Visible, &d), None);
+        // Long scans (100 reads per commit), read-mostly: scan length is
+        // no signal of its own, the ratio sends visible mode home.
+        let d = delta(100, 0, 10_000, 100);
+        assert_eq!(desired(Mode::Visible, &d), Some(Mode::Invisible));
+        assert_eq!(desired(Mode::Invisible, &d), None);
+        // Long scans but write-heavy overall: visible mode wins the
+        // writes.
+        let d = delta(100, 0, 10_000, 5_000);
+        assert_eq!(desired(Mode::Invisible, &d), Some(Mode::Visible));
+        assert_eq!(desired(Mode::Visible, &d), None);
     }
 
     #[test]
     fn empty_windows_vote_for_nothing() {
-        let cfg = AdaptiveConfig::default();
         let d = delta(0, 0, 0, 0);
-        assert_eq!(desired(&cfg, Mode::Invisible, &d), None);
-        assert_eq!(desired(&cfg, Mode::Visible, &d), None);
+        assert_eq!(desired(Mode::Invisible, &d), None);
+        assert_eq!(desired(Mode::Visible, &d), None);
     }
 
     #[test]
     fn thrashing_takes_the_fast_path_to_visible() {
-        let cfg = AdaptiveConfig::default();
         // Read-mostly by ratio, but every other attempt aborts: the
         // abort-rate accelerator votes visible anyway.
         let d = delta(100, 120, 3200, 100);
-        assert!(fast_path(&cfg, Mode::Invisible, &d));
-        assert_eq!(desired(&cfg, Mode::Invisible, &d), Some(Mode::Visible));
+        assert!(fast_path(Mode::Invisible, &d));
+        assert_eq!(desired(Mode::Invisible, &d), Some(Mode::Visible));
         // Validation re-work exceeding double the reads trips the probe
         // accelerator even with a zero abort rate.
         let d = StatsSnapshot {
             validation_probes: 8000,
             ..delta(100, 0, 3200, 100)
         };
-        assert!(fast_path(&cfg, Mode::Invisible, &d));
+        assert!(fast_path(Mode::Invisible, &d));
         // The fast path never applies to leaving visible mode.
-        assert!(!fast_path(&cfg, Mode::Visible, &d));
+        assert!(!fast_path(Mode::Visible, &d));
     }
 
     #[test]
     fn reader_conflicts_evict_visible_mode() {
-        let cfg = AdaptiveConfig::default();
         // Write-leaning ratio would keep visible mode, but the lock
         // churn signal forces the way out.
         let d = StatsSnapshot {
             reader_conflicts: 80,
             ..delta(100, 80, 400, 100)
         };
-        assert_eq!(desired(&cfg, Mode::Visible, &d), Some(Mode::Invisible));
-    }
-
-    #[test]
-    fn scan_heavy_windows_route_to_multiversion() {
-        let cfg = AdaptiveConfig::default();
-        // 100 reads per commit, read-mostly: the scan signal redirects
-        // the read-side departure to multiversion from either
-        // single-version mode.
-        let d = delta(100, 0, 10_000, 100);
-        assert_eq!(desired(&cfg, Mode::Invisible, &d), Some(Mode::Multiversion));
-        assert_eq!(desired(&cfg, Mode::Visible, &d), Some(Mode::Multiversion));
-        // Snapshot reads count as reads: a window already in
-        // multiversion mode keeps voting to stay (no pressure).
-        let d = StatsSnapshot {
-            snapshot_reads: 10_000,
-            ..delta(100, 0, 0, 100)
-        };
-        assert_eq!(desired(&cfg, Mode::Multiversion, &d), None);
-        // Long scans but write-heavy overall: versions churn on every
-        // commit, visible mode wins the writes.
-        let d = delta(100, 0, 10_000, 5_000);
-        assert_eq!(desired(&cfg, Mode::Invisible, &d), Some(Mode::Visible));
-        assert_eq!(desired(&cfg, Mode::Multiversion, &d), Some(Mode::Visible));
-    }
-
-    #[test]
-    fn eviction_pressure_and_short_transactions_leave_multiversion() {
-        let cfg = AdaptiveConfig::default();
-        // Read-mostly but short transactions: snapshots buy nothing.
-        let d = StatsSnapshot {
-            snapshot_reads: 1600,
-            ..delta(100, 0, 0, 100)
-        };
-        assert_eq!(desired(&cfg, Mode::Multiversion, &d), Some(Mode::Invisible));
-        // Still scan-heavy, but snapshots are aging out of the capped
-        // chains: the space bound no longer fits the camping pattern.
-        let d = StatsSnapshot {
-            snapshot_reads: 10_000,
-            eviction_aborts: 3,
-            ..delta(100, 0, 0, 100)
-        };
-        assert_eq!(desired(&cfg, Mode::Multiversion, &d), Some(Mode::Invisible));
-    }
-
-    #[test]
-    #[should_panic(expected = "mv_scan_reads")]
-    fn sub_one_scan_threshold_is_rejected() {
-        AdaptiveConfig {
-            mv_scan_reads: 0.5,
-            ..AdaptiveConfig::default()
-        }
-        .validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "dead band")]
-    fn overlapping_thresholds_are_rejected() {
-        AdaptiveConfig {
-            write_ratio_visible: 8.0,
-            read_ratio_invisible: 3.0,
-            ..AdaptiveConfig::default()
-        }
-        .validate();
+        assert_eq!(desired(Mode::Visible, &d), Some(Mode::Invisible));
     }
 }

@@ -93,7 +93,7 @@ pub(crate) fn read<'v, T: TxValue>(
         Algorithm::Norec => norec::read(tx, var),
         Algorithm::Tlrw => tlrw::read(tx, var),
         Algorithm::Mv => mv::read(tx, var),
-        Algorithm::Adaptive => unreachable!("adaptive begin pins Tl2, Tlrw, or Mv as the mode"),
+        Algorithm::Adaptive => unreachable!("adaptive begin pins Tl2 or Tlrw as the mode"),
     }
 }
 
@@ -106,6 +106,6 @@ pub(crate) fn commit(tx: &mut Transaction<'_>) -> bool {
         Algorithm::Norec => norec::commit(tx),
         Algorithm::Tlrw => tlrw::commit(tx),
         Algorithm::Mv => mv::commit(tx),
-        Algorithm::Adaptive => unreachable!("adaptive begin pins Tl2, Tlrw, or Mv as the mode"),
+        Algorithm::Adaptive => unreachable!("adaptive begin pins Tl2 or Tlrw as the mode"),
     }
 }

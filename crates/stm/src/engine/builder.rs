@@ -105,17 +105,16 @@ impl StmBuilder {
     }
 
     /// Tuning knobs for [`Algorithm::Adaptive`]'s mode controller:
-    /// sampling window, switch thresholds, hysteresis, drain budget.
+    /// sampling window, hysteresis, drain budget.
     /// Ignored by the static algorithms.
     pub fn adaptive_config(mut self, cfg: AdaptiveConfig) -> Self {
         self.adaptive = cfg;
         self
     }
 
-    /// Space-budget knobs for [`Algorithm::Mv`]'s version chains (also
-    /// in force for [`Algorithm::Adaptive`]'s Mv mode): see
+    /// Space-budget knobs for [`Algorithm::Mv`]'s version chains: see
     /// [`MvConfig::max_versions`] for the oldest-snapshot-abort
-    /// semantics. Ignored by the single-version algorithms.
+    /// semantics. Ignored by every other algorithm.
     pub fn mv_config(mut self, cfg: MvConfig) -> Self {
         self.mv = cfg;
         self
@@ -145,13 +144,7 @@ impl StmBuilder {
             }
             _ => None,
         };
-        // Adaptive may route to Mv at runtime, so it carries the
-        // registry from birth — an empty registry is one atomic load on
-        // the paths that consult it.
-        let snapshots = match self.algorithm {
-            Algorithm::Mv | Algorithm::Adaptive => Some(SnapshotRegistry::new()),
-            _ => None,
-        };
+        let snapshots = (self.algorithm == Algorithm::Mv).then(SnapshotRegistry::new);
         let stats = Arc::new(StmStats::default());
         // Adaptive starts in its invisible mode, so only the static
         // visible/multi-version algorithms begin life elsewhere.

@@ -30,10 +30,9 @@
 //!   ([`crate::epoch`]); the paper's *space* axis, on real threads.
 //! * [`Algorithm::Adaptive`] — a mode controller that samples windowed
 //!   [`StatsSnapshot`](crate::StatsSnapshot) deltas and moves the live
-//!   engine between the Tl2 (invisible), Tlrw (visible), and Mv
-//!   (multi-version) hooks through an epoch-quiesced orec-table
-//!   reinterpretation; see [`crate::AdaptiveConfig`] for the decision
-//!   signals and knobs.
+//!   engine between the Tl2 (invisible) and Tlrw (visible) hooks through
+//!   an epoch-quiesced orec-table reinterpretation; see
+//!   [`crate::AdaptiveConfig`] for the knobs.
 //!
 //! The algorithm-specific read/commit/snapshot behaviour lives in the
 //! [`crate::algo`] strategy layer (one module per algorithm, three hooks
@@ -143,17 +142,18 @@ pub enum Algorithm {
     /// `ptm-core`'s simulated `MvTm` — with chains trimmed by liveness
     /// instead of a fixed ring, so snapshots are never evicted.
     Mv,
-    /// Workload-driven switching across **both** paper axes: a
-    /// controller samples stats deltas over commit windows (read/write
-    /// ratio, abort rate, validation probes per read, reader conflicts,
-    /// scan length, eviction pressure) and moves the live engine between
-    /// the invisible-read (Tl2), visible-read (Tlrw), and multi-version
-    /// (Mv) hooks, reinterpreting the orec table between its word
-    /// formats through an epoch-quiesced transition — in-flight
-    /// transactions always finish under the mode they started in.
-    /// Starts invisible; tune with [`StmBuilder::adaptive_config`],
-    /// observe through [`StatsSnapshot`](crate::StatsSnapshot)'s
-    /// `mode_transitions` / `active_mode` and [`Stm::active_mode`].
+    /// Workload-driven switching between the invisible-read (Tl2) and
+    /// visible-read (Tlrw) modes: a controller samples stats deltas over
+    /// commit windows (read/write ratio, abort rate, validation probes
+    /// per read, reader conflicts) and reinterprets the orec table
+    /// between the versioned and reader–writer word formats through an
+    /// epoch-quiesced transition — in-flight transactions always finish
+    /// under the mode they started in. Starts invisible; tune with
+    /// [`StmBuilder::adaptive_config`], observe through
+    /// [`StatsSnapshot`](crate::StatsSnapshot)'s `mode_transitions` /
+    /// `active_mode` and [`Stm::active_mode`]. Scan-heavy workloads
+    /// that want abort-free snapshot reads run [`Algorithm::Mv`]
+    /// directly.
     Adaptive,
 }
 
@@ -170,8 +170,7 @@ impl Algorithm {
 }
 
 /// Space-budget knobs for [`Algorithm::Mv`]'s version chains, set
-/// through [`StmBuilder::mv_config`]; also governs the Mv mode of
-/// [`Algorithm::Adaptive`].
+/// through [`StmBuilder::mv_config`].
 ///
 /// # Examples
 ///
@@ -257,9 +256,9 @@ pub struct Stm {
     /// Present on `Algorithm::Adaptive` instances: the live mode, the
     /// per-mode active-transaction counters, and the window controller.
     pub(crate) adaptive: Option<AdaptiveState>,
-    /// Present on `Algorithm::Mv` and `Algorithm::Adaptive` instances:
-    /// the active snapshots whose minimum is the version-chain low
-    /// watermark (and its cached copy, see [`crate::epoch`]).
+    /// Present on `Algorithm::Mv` instances: the active snapshots whose
+    /// minimum is the version-chain low watermark (and its cached copy,
+    /// see [`crate::epoch`]).
     pub(crate) snapshots: Option<SnapshotRegistry>,
     /// Space-budget knobs for the Mv hooks ([`StmBuilder::mv_config`]).
     pub(crate) mv: MvConfig,
@@ -335,8 +334,8 @@ impl Stm {
 
     /// The read/commit machinery currently in force: the algorithm
     /// itself for static instances; for [`Algorithm::Adaptive`], the
-    /// live mode — [`Algorithm::Tl2`] (invisible), [`Algorithm::Tlrw`]
-    /// (visible), or [`Algorithm::Mv`] (multi-version).
+    /// live mode — [`Algorithm::Tl2`] (invisible) or [`Algorithm::Tlrw`]
+    /// (visible).
     ///
     /// # Examples
     ///
@@ -352,7 +351,6 @@ impl Stm {
             Some(ad) => match ad.mode() {
                 Mode::Invisible => Algorithm::Tl2,
                 Mode::Visible => Algorithm::Tlrw,
-                Mode::Multiversion => Algorithm::Mv,
             },
         }
     }

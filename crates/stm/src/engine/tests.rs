@@ -586,7 +586,6 @@ fn adaptive_nested_transaction_cannot_deadlock_the_switch() {
             window_commits: 1,
             hysteresis_windows: 1,
             max_drain: std::time::Duration::from_millis(1),
-            ..AdaptiveConfig::default()
         })
         .build();
     let v = TVar::new(0u64);

@@ -210,7 +210,7 @@ impl Transaction<'_> {
             Algorithm::Tlrw => tlrw::prepare_with(self, &stripes, &mut held)
                 .then_some(Plan::Tlrw { stripes, held }),
             Algorithm::Norec => norec::acquire_seqlock(self).then_some(Plan::Norec),
-            Algorithm::Adaptive => unreachable!("adaptive begin pins Tl2, Tlrw, or Mv as the mode"),
+            Algorithm::Adaptive => unreachable!("adaptive begin pins Tl2 or Tlrw as the mode"),
         }
     }
 

@@ -4,8 +4,8 @@
 //! STM with six interchangeable validation algorithms, so both sides of
 //! the paper's time–space tradeoff can be measured on actual hardware —
 //! the *time* axis with four single-version designs, the *space* axis
-//! with a multi-version one, and, with the adaptive mode, *exploited*
-//! at runtime.
+//! with a multi-version one, and, with the adaptive mode, the time axis
+//! *exploited* at runtime.
 //!
 //! * [`Stm::tl2`] — global version clock, O(1) **lock-free** read
 //!   validation against a striped orec table (the production default);
@@ -29,11 +29,12 @@
 //!   [`StatsSnapshot`]). Time is traded for space — the paper's other
 //!   axis.
 //! * [`Stm::adaptive`] — a mode controller that samples windowed stats
-//!   deltas and moves the live engine between the Tl2, Tlrw, and Mv
-//!   hooks as the workload shifts — both paper axes at runtime —
-//!   reinterpreting the orec table through an epoch-quiesced transition
-//!   (tune with [`AdaptiveConfig`], observe via `mode_transitions` /
-//!   `active_mode` in [`StatsSnapshot`] and [`Stm::active_mode`]).
+//!   deltas and moves the live engine between the Tl2 and Tlrw hooks as
+//!   the workload shifts, reinterpreting the orec table through an
+//!   epoch-quiesced transition (tune with [`AdaptiveConfig`], observe
+//!   via `mode_transitions` / `active_mode` in [`StatsSnapshot`] and
+//!   [`Stm::active_mode`]). Scan-heavy workloads go to [`Stm::mv`]
+//!   directly.
 //!
 //! ## Quick start
 //!

@@ -45,9 +45,10 @@ use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 
 /// The read regime an instance is running: which hook family serves its
 /// reads, and therefore where on the paper's time–space tradeoff it
-/// sits. Static algorithms are fixed at build time; `Algorithm::Adaptive`
-/// moves between all three at runtime (see
-/// [`StatsSnapshot::active_mode`]).
+/// sits. Static algorithms are fixed at build time (only `Algorithm::Mv`
+/// reports [`ActiveMode::Multiversion`]); `Algorithm::Adaptive` moves
+/// between [`ActiveMode::Invisible`] and [`ActiveMode::Visible`] at
+/// runtime (see [`StatsSnapshot::active_mode`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ActiveMode {
     /// Invisible single-version reads (Tl2-family hooks): optimistic
@@ -332,9 +333,10 @@ pub struct StatsSnapshot {
     /// The read regime in force when the snapshot was taken:
     /// [`ActiveMode::Visible`] for `Tlrw`, [`ActiveMode::Multiversion`]
     /// for `Mv`, [`ActiveMode::Invisible`] for the other static
-    /// algorithms — and, for `Adaptive`, wherever the controller
-    /// currently sits. Point-in-time state, not a counter — [`since`]
-    /// carries the *later* snapshot's value through unchanged.
+    /// algorithms — and, for `Adaptive`, whichever of invisible and
+    /// visible the controller currently sits in. Point-in-time state,
+    /// not a counter — [`since`] carries the *later* snapshot's value
+    /// through unchanged.
     ///
     /// [`since`]: StatsSnapshot::since
     pub active_mode: ActiveMode,

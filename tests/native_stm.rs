@@ -857,18 +857,25 @@ fn adaptive_mode_switch_mid_workload_records_an_opaque_history() {
     );
 }
 
-/// The deterministic two-phase workload behind the double-transition
-/// test: a scan-heavy phase (long read-only transactions drive Adaptive
-/// into multiversion mode) followed by a write-heavy transfer phase
-/// (drives it on to visible mode). Transfer amounts are a pure function
-/// of the per-thread streams and never balance-capped, so the final
-/// balances are schedule-independent.
+/// The deterministic two-phase workload behind the scan-routing test: a
+/// scan-heavy phase (every read-only transaction reads 64 accounts)
+/// followed by a write-heavy transfer phase. After every commit it
+/// checks that the instance has never served a read from the
+/// multi-version hooks. Transfer amounts are a pure function of the
+/// per-thread streams and never balance-capped, so the final balances
+/// are schedule-independent.
 fn scan_then_write_run(stm: &Arc<Stm>) -> Vec<u64> {
-    const ACCOUNTS: usize = 16;
+    const ACCOUNTS: usize = 64;
     const THREADS: usize = 2;
     const PER_PHASE: u64 = 24;
     let accounts: Vec<TVar<u64>> = (0..ACCOUNTS).map(|_| TVar::new(1_000)).collect();
-    // Phase 1: scan-heavy — every transaction reads all sixteen accounts.
+    let never_multiversion = |stm: &Stm| {
+        assert_ne!(stm.active_mode(), Algorithm::Mv);
+        let snap = stm.stats().snapshot();
+        assert_ne!(snap.active_mode, ActiveMode::Multiversion);
+        assert_eq!(snap.snapshot_reads, 0, "a read was served by the Mv hooks");
+    };
+    // Phase 1: scan-heavy — every transaction reads all 64 accounts.
     std::thread::scope(|s| {
         for _ in 0..THREADS {
             let stm = Arc::clone(stm);
@@ -883,6 +890,7 @@ fn scan_then_write_run(stm: &Arc<Stm>) -> Vec<u64> {
                         Ok(acc)
                     });
                     assert_eq!(sum, ACCOUNTS as u64 * 1_000, "scan saw a torn total");
+                    never_multiversion(&stm);
                 }
             });
         }
@@ -906,6 +914,7 @@ fn scan_then_write_run(stm: &Arc<Stm>) -> Vec<u64> {
                         tx.write(&accounts[from], a - amt)?;
                         tx.write(&accounts[to], b + amt)
                     });
+                    never_multiversion(&stm);
                 }
             });
         }
@@ -914,11 +923,12 @@ fn scan_then_write_run(stm: &Arc<Stm>) -> Vec<u64> {
 }
 
 #[test]
-fn adaptive_double_transition_through_multiversion_stays_opaque() {
-    // Tl2 -> Mv -> Tlrw in one run: the scan-heavy phase routes the
-    // engine into multiversion mode, the write-heavy phase routes it on
-    // to visible mode, and both epoch-quiesced transitions must preserve
-    // balances and record an opaque history.
+fn adaptive_never_routes_long_scans_into_multiversion() {
+    // Scans of 64 reads per commit are the shape a scan-length vote
+    // would send to Mv; Adaptive moves only between invisible and
+    // visible reads, so no read may ever be a snapshot read. The
+    // write-heavy tail still drives it to visible mode, and the run must
+    // match the static Tl2 balances and record an opaque history.
     let baseline = scan_then_write_run(&Arc::new(Stm::tl2()));
     let rec = HistoryRecorder::new();
     let stm = Arc::new(
@@ -926,7 +936,6 @@ fn adaptive_double_transition_through_multiversion_stays_opaque() {
             .adaptive_config(AdaptiveConfig {
                 window_commits: 4,
                 hysteresis_windows: 1,
-                mv_scan_reads: 8.0,
                 ..AdaptiveConfig::default()
             })
             .record_history(rec.clone())
@@ -935,14 +944,10 @@ fn adaptive_double_transition_through_multiversion_stays_opaque() {
     let balances = scan_then_write_run(&stm);
     assert_eq!(baseline, balances, "mode switches changed the outcome");
     let snap = stm.stats().snapshot();
+    assert_eq!(snap.snapshot_reads, 0);
     assert!(
-        snap.mode_transitions >= 2,
-        "the workload must cross two modes, got {}",
-        snap.mode_transitions
-    );
-    assert!(
-        snap.snapshot_reads > 0,
-        "multiversion mode must have served reads along the way"
+        snap.mode_transitions >= 1,
+        "the write-heavy tail must switch modes"
     );
     assert_eq!(
         snap.active_mode,
@@ -954,7 +959,7 @@ fn adaptive_double_transition_through_multiversion_stays_opaque() {
     assert!(h.is_complete(), "every attempt is t-complete");
     assert!(
         is_opaque(&h),
-        "history recorded across Tl2 -> Mv -> Tlrw must be opaque"
+        "history recorded across the Tl2 -> Tlrw switch must be opaque"
     );
 }
 
